@@ -53,6 +53,7 @@ __all__ = [
     "SeedQualityGate",
     "TileHealth",
     "HealthMonitor",
+    "stable_seed",
 ]
 
 # The finite sentinel a non-finite seed's quality score clamps to:
@@ -61,11 +62,13 @@ __all__ = [
 NONFINITE_QUALITY = 1e30
 
 
-def _stable_seed(*parts: Any) -> int:
-    """Process-stable 63-bit seed (mirrors ``repro.runtime.api.stable_seed``).
+def stable_seed(*parts: Any) -> int:
+    """A process- and run-stable 63-bit seed derived from ``parts``.
 
-    Duplicated here rather than imported so the analog layer never
-    depends on the runtime package above it.
+    Python's ``hash`` is salted per interpreter, so every derived random
+    stream keys off this instead: the same parts give the same stream in
+    any process, which makes ``workers=1`` and ``workers=4`` runs
+    bitwise-identical. :mod:`repro.runtime` re-exports it.
     """
     text = ":".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -232,7 +235,7 @@ class DegradationSchedule:
         self.resets = int(state.get("resets", 0))
 
     def _draw(self, purpose: str, name: str) -> np.random.Generator:
-        return np.random.default_rng(_stable_seed(self.seed, purpose, self.step, name))
+        return np.random.default_rng(stable_seed(self.seed, purpose, self.step, name))
 
     def advance(self, fabric) -> None:
         """One degradation step: walk the drift, maybe break hardware.

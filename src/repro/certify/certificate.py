@@ -46,7 +46,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.certify.residuals import boundary_ring_norm, independent_residual_norms
+from repro.certify.residuals import independent_residual
 
 __all__ = [
     "CertificateCheck",
@@ -247,8 +247,10 @@ def certify_solution(
 ) -> SolveCertificate:
     """Certify one solution of ``problem`` (a ``ProblemSpec``).
 
-    Pure: rebuilds the problem deterministically, evaluates through the
-    independent residual path, and consumes no global random streams.
+    Pure: rebuilds the problem once, deterministically, evaluates the
+    independent residual at the solution once, and consumes no global
+    random streams. What each check means for the problem is read from
+    its family entry (:data:`repro.families.FAMILIES`).
     """
     policy = policy or CertifyPolicy()
     solution = np.asarray(solution, dtype=float)
@@ -277,7 +279,11 @@ def certify_solution(
         )
     )
 
-    achieved, reference = independent_residual_norms(problem, solution)
+    entry = problem.family
+    system, guess = problem.build()
+    reference = float(np.linalg.norm(independent_residual(problem, system, guess)))
+    residual = independent_residual(problem, system, solution) if finite else None
+    achieved = float(np.linalg.norm(residual)) if finite else float("inf")
     reference = max(reference, policy.reference_floor)
     relative = achieved / reference
     residual_ok = achieved <= policy.absolute_floor or relative <= policy.max_relative_residual
@@ -291,7 +297,12 @@ def certify_solution(
         )
     )
 
-    ring = boundary_ring_norm(problem, solution)
+    if entry.boundary_ring is None:
+        ring = 0.0
+    elif finite:
+        ring = float(np.linalg.norm(residual[entry.boundary_ring(system)]))
+    else:
+        ring = float("inf")
     ring_relative = ring / reference
     boundary_ok = ring <= policy.absolute_floor or ring_relative <= policy.max_relative_residual
     checks.append(
@@ -302,19 +313,14 @@ def certify_solution(
             threshold=policy.max_relative_residual,
             detail=(
                 "boundary-adjacent residual rows"
-                if problem.kind == "burgers"
+                if entry.boundary_ring is not None
                 else "no spatial boundary (trivially satisfied)"
             ),
         )
     )
 
-    if problem.kind == "burgers" and finite:
-        system, _ = problem.build()
-        from repro.certify.residuals import independent_residual
-
-        residual_vec = independent_residual(problem, system, solution)
-        n = system.grid.num_nodes
-        defect = abs(float(np.sum(residual_vec[:n]))) + abs(float(np.sum(residual_vec[n:])))
+    if entry.conservation_defect is not None and finite:
+        defect = entry.conservation_defect(system, residual)
         conservation_threshold = policy.max_relative_residual * math.sqrt(system.dimension)
         conservation_rel = defect / reference
         conservation_ok = (

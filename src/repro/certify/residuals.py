@@ -2,12 +2,12 @@
 
 The whole point of a certificate is that it does *not* trust the
 solver's bookkeeping — so these residual paths deliberately avoid
-:mod:`repro.pde.stencils` and the systems' own ``residual`` methods
-wherever a problem kind is known. The Burgers path re-assembles the
-ghost ring and applies the central/Laplacian stencils with direct
-numpy slicing; the coupled quadratic is evaluated in closed form. A
-shared bug between the solver's stencil code and this file would have
-to be introduced twice, independently, in different shapes.
+:mod:`repro.pde.stencils` and the systems' own ``residual`` methods.
+The Burgers path re-assembles the ghost ring and applies the
+central/Laplacian stencils with direct numpy slicing; the coupled
+quadratic is evaluated in closed form. A shared bug between the
+solver's stencil code and this file would have to be introduced twice,
+independently, in different shapes.
 
 Problem *data* (right-hand sides, boundary values) still comes from
 :meth:`repro.runtime.api.ProblemSpec.build` — that rebuild is a pure
@@ -22,10 +22,15 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["independent_residual", "independent_residual_norms", "boundary_ring_norm"]
+__all__ = [
+    "burgers_residual",
+    "quadratic_residual",
+    "independent_residual",
+    "independent_residual_norms",
+]
 
 
-def _burgers_residual(system, solution: np.ndarray) -> np.ndarray:
+def burgers_residual(system, solution: np.ndarray) -> np.ndarray:
     """Direct ghost-cell re-assembly of the steady forced Burgers
     residual (Section 4.2 discretization), slicing written out inline."""
     grid = system.grid
@@ -61,7 +66,7 @@ def _burgers_residual(system, solution: np.ndarray) -> np.ndarray:
     return np.concatenate([f_u.reshape(-1), f_v.reshape(-1)])
 
 
-def _quadratic_residual(system, solution: np.ndarray) -> np.ndarray:
+def quadratic_residual(system, solution: np.ndarray) -> np.ndarray:
     """Closed-form Equation 2 residual for the coupled quadratic."""
     rho0, rho1 = float(solution[0]), float(solution[1])
     return np.array(
@@ -73,24 +78,18 @@ def _quadratic_residual(system, solution: np.ndarray) -> np.ndarray:
 
 
 def independent_residual(spec, system, solution: np.ndarray) -> np.ndarray:
-    """``F(solution)`` through the certification path for ``spec``.
+    """``F(solution)`` through the certification path for ``spec``'s
+    family (:data:`repro.families.FAMILIES`).
 
     ``system`` must be the object ``spec.build()`` returned (the caller
     usually also needs the initial guess, so it holds the pair already).
-    Unknown kinds fall back to the system's own residual — a weaker
-    certificate (no independence), still catching corruption introduced
-    after acceptance.
     """
     solution = np.asarray(solution, dtype=float)
     if solution.shape != (system.dimension,):
         raise ValueError(
             f"solution shape {solution.shape} does not match dimension {system.dimension}"
         )
-    if spec.kind == "burgers":
-        return _burgers_residual(system, solution)
-    if spec.kind == "quadratic":
-        return _quadratic_residual(system, solution)
-    return np.asarray(system.residual(solution), dtype=float)
+    return spec.family.independent_residual(system, solution)
 
 
 def independent_residual_norms(spec, solution: np.ndarray) -> Tuple[float, float]:
@@ -106,29 +105,3 @@ def independent_residual_norms(spec, solution: np.ndarray) -> Tuple[float, float
         return float("inf"), reference
     achieved = float(np.linalg.norm(independent_residual(spec, system, solution)))
     return achieved, reference
-
-
-def boundary_ring_norm(spec, solution: np.ndarray) -> float:
-    """2-norm of the residual restricted to boundary-adjacent nodes.
-
-    The Dirichlet data enters the discrete system only through the
-    ghost ring, so a solve that ran against the wrong boundary values
-    shows up loudest in the equations one node in from the wall —
-    interior rows can look converged while the ring rows cannot.
-    Problems without a spatial boundary (the coupled quadratic) return
-    0.0 (trivially satisfied).
-    """
-    if spec.kind != "burgers":
-        return 0.0
-    system, _ = spec.build()
-    solution = np.asarray(solution, dtype=float)
-    if not np.all(np.isfinite(solution)):
-        return float("inf")
-    residual = independent_residual(spec, system, solution)
-    grid = system.grid
-    ny, nx = grid.ny, grid.nx
-    ring = np.zeros((ny, nx), dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    mask = np.concatenate([ring.reshape(-1), ring.reshape(-1)])
-    return float(np.linalg.norm(residual[mask]))

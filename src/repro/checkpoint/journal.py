@@ -489,7 +489,10 @@ def read_journal(path: PathLike) -> JournalReplay:
             replay.config = record.get("config")
             replay.batch_id = record.get("batch_id")
         elif kind == "request_accepted":
-            request = request_from_record(record["request"])
+            try:
+                request = request_from_record(record["request"])
+            except ValueError as exc:  # e.g. a problem kind this build does not serve
+                raise JournalError(f"{path}:{number}: {exc}") from exc
             if all(r.request_id != request.request_id for r in replay.requests):
                 replay.requests.append(request)
         elif kind == "attempt_started":

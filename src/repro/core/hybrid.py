@@ -19,11 +19,10 @@ The baseline it beats is :func:`repro.nonlinear.newton.damped_newton_with_restar
 from a naive initial guess, which at high Reynolds number must halve
 its damping repeatedly (Figure 8).
 
-All digital legs share one :class:`~repro.linalg.kernel.LinearKernel`
-per solve, so the preconditioner factorized on the first Newton step is
-reused across the polish (and any recovery restarts) instead of being
-rebuilt per step, and the full inner-iteration accounting survives into
-``HybridResult.digital.linear_stats``.
+:class:`HybridSolver` is the runtime's
+:class:`~repro.runtime.ladder.DegradationLadder` with its ``hybrid``
+and ``damped_newton`` rungs, which share one
+:class:`~repro.linalg.kernel.LinearKernel` per solve.
 """
 
 from __future__ import annotations
@@ -40,20 +39,12 @@ from repro.nonlinear.newton import (
     NewtonOptions,
     NewtonResult,
     damped_newton_with_restarts,
-    newton_solve,
 )
 from repro.nonlinear.systems import NonlinearSystem
-from repro.runtime.ladder import (
-    FALLBACK_TOLERANCE_FLOOR as _LADDER_FALLBACK_FLOOR,
-    damped_recovery,
-)
-from repro.trace.tracer import TracerLike, as_tracer
+from repro.runtime.ladder import DegradationLadder
+from repro.trace.tracer import TracerLike
 
 __all__ = ["HybridResult", "HybridSolver"]
-
-# The paper polishes "to double-precision floating point epsilon"; on a
-# residual norm this is epsilon scaled by the problem's magnitude.
-DOUBLE_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -92,28 +83,15 @@ class HybridSolver:
         scaled from double epsilon.
     fallback_options:
         Options for the damped-restart recovery used when the analog
-        seed turns out not to sit in the quadratic basin (rare: an
-        unsettled analog run). These are deliberately *relaxed*
-        relative to the polish: the damped baseline started from a bad
-        seed may never reach the eps-scaled polish tolerance, and with
-        the tight tolerance it would burn every damping level to the
-        iteration cap before reporting failure. The default relaxes
-        the tolerance floor to ``1e-9``; if the recovery converges, a
-        final polish at the tight tolerance is still attempted, and the
-        reported ``converged`` status honestly reflects whichever
-        tolerance was actually achieved.
+        seed misses the quadratic basin or the seed gate rejects it;
+        relaxed by default to
+        :data:`~repro.runtime.ladder.FALLBACK_TOLERANCE_FLOOR`.
     linear_solver:
         A :class:`~repro.linalg.kernel.LinearKernel` or bare callable
         shared by every digital leg. When omitted, each ``solve`` call
         creates its own kernel (per-solve factorization reuse without
         cross-problem contamination).
     """
-
-    # Tolerance floor of the default recovery options: loose enough for
-    # a damped search from a bad seed to terminate, tight enough that a
-    # "recovered" solution is still a solution by any practical measure.
-    # Shared with the runtime's damped_newton ladder rung.
-    FALLBACK_TOLERANCE_FLOOR = _LADDER_FALLBACK_FLOOR
 
     def __init__(
         self,
@@ -122,23 +100,21 @@ class HybridSolver:
         linear_solver: Optional[LinearSolverLike] = None,
         fallback_options: Optional[NewtonOptions] = None,
     ):
-        self.accelerator = accelerator or AnalogAccelerator()
-        self.polish_options = polish_options or NewtonOptions(
-            damping=1.0, tolerance=1e3 * DOUBLE_EPS, max_iterations=100
+        self.ladder = DegradationLadder(
+            accelerator=accelerator,
+            polish_options=polish_options,
+            fallback_options=fallback_options,
+            rungs=("hybrid", "damped_newton"),
+            linear_solver=linear_solver,
         )
-        self.fallback_options = fallback_options or NewtonOptions(
-            damping=self.polish_options.damping,
-            tolerance=max(self.polish_options.tolerance, self.FALLBACK_TOLERANCE_FLOOR),
-            max_iterations=max(self.polish_options.max_iterations, 200),
-            divergence_threshold=self.polish_options.divergence_threshold,
-        )
-        self.linear_solver = linear_solver
 
-    def _solver(self) -> LinearSolverLike:
-        """The shared linear solver for one hybrid solve's digital legs."""
-        if self.linear_solver is not None:
-            return self.linear_solver
-        return LinearKernel()
+    @property
+    def polish_options(self) -> NewtonOptions:
+        return self.ladder.polish_options
+
+    @property
+    def fallback_options(self) -> NewtonOptions:
+        return self.ladder.fallback_options
 
     def solve(
         self,
@@ -150,71 +126,24 @@ class HybridSolver:
     ) -> HybridResult:
         """Analog seed, then digital polish to high precision.
 
-        ``tracer`` records a ``solve`` span containing the accelerator's
-        ``analog_settle`` span and the polish's ``newton_iter`` spans.
+        ``tracer`` records the ladder's ``ladder``/``ladder_rung``
+        spans. Raises ``RuntimeError`` if a rung's error leaves no
+        settle or no Newton result to report.
         """
-        tracer = as_tracer(tracer)
-        guess = (
-            np.zeros(system.dimension)
-            if initial_guess is None
-            else np.asarray(initial_guess, dtype=float)
+        result = self.ladder.solve(
+            system,
+            initial_guess=initial_guess,
+            value_bound=value_bound,
+            analog_time_limit=analog_time_limit,
+            tracer=tracer,
         )
-        with tracer.span("solve", solver="hybrid", dimension=system.dimension) as span:
-            analog = self.accelerator.solve(
-                system,
-                initial_guess=guess,
-                value_bound=value_bound,
-                time_limit=analog_time_limit,
-                tracer=tracer,
-            )
-            rejected = analog.converged and not analog.seed_accepted
-            seed = analog.solution if analog.converged and not rejected else guess
-            solver = self._solver()
-            if rejected:
-                # The seed gate refused the settled analog solution: it
-                # is *worse* than the naive guess (degraded board), so
-                # undamped Newton from it would burn a doomed polish.
-                # Go straight to the damped recovery from the guess.
-                tracer.counter("hybrid_recoveries")
-                digital = damped_recovery(
-                    system,
-                    seed,
-                    self.polish_options,
-                    self.fallback_options,
-                    solver,
-                    tracer=tracer,
-                )
-            else:
-                digital = newton_solve(system, seed, self.polish_options, solver, tracer=tracer)
-            if not digital.converged and not rejected:
-                # The seed was not good enough (rare: an unsettled analog
-                # run). Recover with the damped baseline under its own
-                # relaxed options — the tight polish tolerance may be
-                # unreachable from a bad seed, and looping every damping
-                # level to the cap would only misreport the failure mode.
-                # The recovery policy itself lives in the runtime's
-                # degradation ladder (its damped_newton rung).
-                tracer.counter("hybrid_recoveries")
-                digital = damped_recovery(
-                    system,
-                    seed,
-                    self.polish_options,
-                    self.fallback_options,
-                    solver,
-                    tracer=tracer,
-                )
-            span.update(
-                converged=digital.converged,
-                digital_iterations=digital.iterations,
-                analog_settle_time_units=analog.settle_time_units,
-                seed_accepted=analog.seed_accepted,
-            )
-        return HybridResult(
-            u=digital.u,
-            converged=digital.converged,
-            analog=analog,
-            digital=digital,
+        digital = next(
+            (a.newton for a in reversed(result.attempts) if a.newton is not None), None
         )
+        if result.analog is None or digital is None:
+            failures = "; ".join(f"{a.rung}: {a.error}" for a in result.attempts)
+            raise RuntimeError(f"hybrid solve failed ({failures})")
+        return HybridResult(digital.u, digital.converged, result.analog, digital)
 
     def solve_baseline(
         self,
@@ -229,6 +158,11 @@ class HybridSolver:
             if initial_guess is None
             else np.asarray(initial_guess, dtype=float)
         )
+        solver = self.ladder.linear_solver
         return damped_newton_with_restarts(
-            system, guess, self.polish_options, self._solver(), tracer=tracer
+            system,
+            guess,
+            self.polish_options,
+            solver if solver is not None else LinearKernel(),
+            tracer=tracer,
         )

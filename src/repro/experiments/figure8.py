@@ -83,7 +83,8 @@ def run_figure8(
     settings to reproduce the complete series.
 
     ``tracer`` records the baseline leg's ``newton_attempt`` spans and
-    the hybrid leg's ``solve``/``analog_settle`` spans per trial.
+    the hybrid leg's ``ladder``/``ladder_rung``/``analog_settle`` spans
+    per trial.
     """
     cpu_model = cpu_model or CpuModel()
     analog_model = analog_model or AnalogTimingModel()

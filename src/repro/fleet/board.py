@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.analog.health import DegradationModel, _stable_seed
+from repro.analog.health import DegradationModel, stable_seed
 
 __all__ = ["AnalogBoard", "BoardAssignment"]
 
@@ -104,9 +104,9 @@ class AnalogBoard:
         never changes the die — trimming is not a respin.
         """
         if self.board_id == 0:
-            return _stable_seed(runtime_seed, request_id, attempt, "die") % (2**31)
+            return stable_seed(runtime_seed, request_id, attempt, "die") % (2**31)
         return (
-            _stable_seed(
+            stable_seed(
                 runtime_seed, request_id, attempt, "die", "board", self.board_id
             )
             % (2**31)
@@ -120,8 +120,8 @@ class AnalogBoard:
         subsequent drift is a fresh walk.
         """
         if self.board_id == 0 and self.epoch == 0:
-            return _stable_seed(runtime_seed, request_id, attempt, "degradation")
-        return _stable_seed(
+            return stable_seed(runtime_seed, request_id, attempt, "degradation")
+        return stable_seed(
             runtime_seed,
             request_id,
             attempt,

@@ -34,13 +34,12 @@ reconstructible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.analog.health import _stable_seed
+from repro.analog.health import stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.board import AnalogBoard
@@ -50,22 +49,11 @@ __all__ = ["PredictiveSeedGate", "problem_conditioning"]
 
 
 def problem_conditioning(problem: "ProblemSpec") -> float:
-    """Conditioning proxy ``kappa(P) >= 1`` for the gate's amplification.
-
-    For the Burgers instances this grows with system size (more tiles
-    sharing one board's drift budget, log-ish like the bound's
-    dimension factor) and with Reynolds-number stiffness in either
-    direction (advection- or diffusion-dominated both condition worse
-    than the balanced regime). The coupled quadratic is tiny and
-    benign: ``kappa = 1``.
-    """
-    params = problem.as_dict()
-    if problem.kind == "burgers":
-        dimension = 2 * int(params["grid_n"]) ** 2
-        reynolds = float(params["reynolds"])
-        stiffness = max(reynolds, 1.0 / reynolds) if reynolds > 0 else 1.0
-        return math.sqrt(1.0 + math.log2(max(dimension, 1))) * stiffness**0.25
-    return 1.0
+    """Conditioning proxy ``kappa(P) >= 1`` for the gate's amplification:
+    the ``conditioning`` field of the problem's family entry
+    (:data:`repro.families.FAMILIES`), ``1.0`` where it has none."""
+    kappa = problem.family.conditioning
+    return 1.0 if kappa is None else kappa(problem.as_dict())
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ class PredictiveSeedGate:
         ):
             return "allow", predicted, kappa
         draw = np.random.default_rng(
-            _stable_seed(runtime_seed, request_id, attempt, "gate_audit")
+            stable_seed(runtime_seed, request_id, attempt, "gate_audit")
         ).uniform()
         if draw < self.audit_rate:
             return "audit", predicted, kappa

@@ -14,12 +14,14 @@ solve escape as a raised exception or a hang.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.analog.health import stable_seed
+from repro.families import FAMILIES, ProblemFamily
 
 __all__ = [
     "DeadlineExceeded",
@@ -57,21 +59,6 @@ class PoolBroken(RuntimeError):
     """
 
 
-def stable_seed(*parts: Any) -> int:
-    """A process- and run-stable 63-bit seed derived from ``parts``.
-
-    Python's builtin ``hash`` is salted per interpreter, so every
-    derived random stream (backoff jitter, fault draws, per-attempt
-    accelerator dies) keys off this instead — the same
-    (runtime seed, request id, attempt) triple yields the same stream
-    in a pool worker as in-process, which is what makes ``workers=1``
-    and ``workers=4`` runs bitwise-identical.
-    """
-    text = ":".join(str(part) for part in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") >> 1
-
-
 class Deadline:
     """A per-attempt time budget with a cooperative raise-on-expiry check."""
 
@@ -99,14 +86,19 @@ class Deadline:
 class ProblemSpec:
     """A picklable recipe for one nonlinear problem instance.
 
-    ``kind`` selects the factory; ``params`` (a sorted tuple of
-    key/value pairs, kept hashable) parameterizes it. :meth:`build`
-    returns the live ``(system, initial_guess)`` pair and is always
-    called inside whichever process executes the attempt.
+    ``kind`` names the problem family (:data:`repro.families.FAMILIES`,
+    checked on construction); ``params`` (a sorted tuple of key/value
+    pairs, kept hashable) parameterizes it. :meth:`build` returns the
+    live ``(system, initial_guess)`` pair and is always called inside
+    whichever process executes the attempt.
     """
 
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown problem kind {self.kind!r}")
 
     @classmethod
     def burgers(cls, grid_n: int, reynolds: float, seed: int) -> "ProblemSpec":
@@ -129,20 +121,14 @@ class ProblemSpec:
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
+    @property
+    def family(self) -> ProblemFamily:
+        """This spec's entry in the problem-family table."""
+        return FAMILIES[self.kind]
+
     def build(self):
         """Instantiate ``(system, initial_guess)`` for this spec."""
-        params = self.as_dict()
-        if self.kind == "burgers":
-            from repro.pde.burgers import random_burgers_system
-
-            rng = np.random.default_rng(params["seed"])
-            return random_burgers_system(params["grid_n"], params["reynolds"], rng)
-        if self.kind == "quadratic":
-            from repro.nonlinear.systems import CoupledQuadraticSystem
-
-            system = CoupledQuadraticSystem(params["rhs0"], params["rhs1"])
-            return system, np.asarray(params["guess"], dtype=float)
-        raise ValueError(f"unknown problem kind {self.kind!r}")
+        return self.family.build(self.as_dict())
 
 
 @dataclass(frozen=True)

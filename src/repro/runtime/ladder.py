@@ -10,12 +10,16 @@ policy instead of ad-hoc nested fallbacks:
    method, Section 6.2);
 2. ``damped_newton`` — damped Newton with the halving restart
    schedule, recovered from whatever seed is available, then
-   best-effort re-polished at the tight tolerance (this rung absorbs
-   the former ``HybridSolver._recover``);
+   best-effort re-polished at the tight tolerance;
 3. ``homotopy`` — global (Newton) homotopy continuation from the naive
    guess, needing no structure at all (Section 3.2);
 4. structured failure — a :class:`LadderResult` with ``converged
    False`` and every rung's diagnosis, never an exception.
+
+:class:`repro.core.HybridSolver` is this ladder with the first two
+rungs. One :class:`~repro.linalg.kernel.LinearKernel` serves every
+digital rung of a descent, so the preconditioner factorized by the
+polish is reused by the damped recovery.
 
 Every rung is recorded as a ``ladder_rung`` span; each downgrade bumps
 the ``ladder_fallbacks`` counter. A cooperative
@@ -27,11 +31,11 @@ surfaces as ``timed_out`` rather than as unbounded work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.engine import AnalogAccelerator
+from repro.analog.engine import AnalogAccelerator, AnalogSolveResult
 from repro.nonlinear.homotopy import HomotopySchedule, newton_homotopy_solve
 from repro.nonlinear.newton import (
     IterationHook,
@@ -49,6 +53,8 @@ from repro.trace.tracer import TracerLike, as_tracer
 
 __all__ = [
     "DEFAULT_RUNGS",
+    "DOUBLE_EPS",
+    "FALLBACK_TOLERANCE_FLOOR",
     "RungAttempt",
     "LadderResult",
     "DegradationLadder",
@@ -57,13 +63,13 @@ __all__ = [
 
 DEFAULT_RUNGS: Tuple[str, ...] = ("hybrid", "damped_newton", "homotopy")
 
-# Mirrors repro.core.hybrid: polish "to double-precision epsilon".
-_DOUBLE_EPS = float(np.finfo(np.float64).eps)
+# The paper polishes "to double-precision floating point epsilon"; on a
+# residual norm this is epsilon scaled by the problem's magnitude.
+DOUBLE_EPS = float(np.finfo(np.float64).eps)
 
 # Tolerance floor for the damped recovery rung — loose enough for a
 # damped search from a bad seed to terminate, tight enough that a
-# recovered solution is a solution by any practical measure (see
-# HybridSolver.FALLBACK_TOLERANCE_FLOOR, which this keeps in sync).
+# recovered solution is a solution by any practical measure.
 FALLBACK_TOLERANCE_FLOOR = 1e-9
 
 
@@ -78,14 +84,12 @@ def damped_recovery(
 ) -> NewtonResult:
     """Damped-restart recovery from a bad seed, then best-effort polish.
 
-    The runtime's ``damped_newton`` rung, shared with
-    :class:`repro.core.HybridSolver` (whose private ``_recover`` this
-    absorbed): run the damped baseline under the relaxed fallback
-    options; if it converges, attempt a final polish at the tight
-    tolerance, folding the recovery's restart/iteration/linear-solve
-    bill into the polished result so no accounting is lost. The
-    reported ``converged`` honestly reflects whichever tolerance was
-    actually achieved.
+    The ladder's ``damped_newton`` rung: run the damped baseline under
+    the relaxed fallback options; if it converges, attempt a final
+    polish at the tight tolerance, folding the recovery's
+    restart/iteration/linear-solve bill into the polished result so no
+    accounting is lost. The reported ``converged`` honestly reflects
+    whichever tolerance was actually achieved.
     """
     tracer = as_tracer(tracer)
     recovery = damped_newton_with_restarts(
@@ -123,6 +127,9 @@ class RungAttempt:
     iterations: int = 0
     error: Optional[str] = None
     u: Optional[np.ndarray] = field(default=None, repr=False)
+    # The digital rungs' full Newton result (None for homotopy and for
+    # a hybrid rung whose seed was rejected).
+    newton: Optional[NewtonResult] = field(default=None, repr=False)
 
 
 @dataclass
@@ -135,6 +142,7 @@ class LadderResult:
     residual_norm: float
     attempts: List[RungAttempt] = field(default_factory=list)
     timed_out: bool = False
+    analog: Optional[AnalogSolveResult] = field(default=None, repr=False)  # the settle
 
     @property
     def rungs_tried(self) -> Tuple[str, ...]:
@@ -144,10 +152,12 @@ class LadderResult:
 class DegradationLadder:
     """Runs the rungs in order until one converges or the ladder is spent.
 
-    Parameters mirror :class:`repro.core.HybridSolver` (the hybrid rung
-    *is* that pipeline); ``schedule`` configures the homotopy rung's
-    lambda sweep. ``rungs`` reorders or prunes the ladder (e.g.
-    ``("damped_newton",)`` for digital-only batches).
+    Option defaults: undamped polish to ``1e3 * DOUBLE_EPS``; damped
+    recovery relaxed to :data:`FALLBACK_TOLERANCE_FLOOR`. ``schedule``
+    configures the homotopy rung's lambda sweep. ``rungs`` reorders or
+    prunes the ladder (e.g. ``("damped_newton",)`` for digital-only
+    batches). ``linear_solver`` serves the digital rungs of every
+    descent; when omitted each descent builds its own kernel.
     """
 
     def __init__(
@@ -158,13 +168,14 @@ class DegradationLadder:
         schedule: Optional[HomotopySchedule] = None,
         rungs: Tuple[str, ...] = DEFAULT_RUNGS,
         settle_max_steps: int = 1_000_000,
+        linear_solver: Optional[LinearSolverLike] = None,
     ):
         self.accelerator = accelerator or AnalogAccelerator()
         if settle_max_steps < 1:
             raise ValueError("settle_max_steps must be at least 1")
         self.settle_max_steps = int(settle_max_steps)
         self.polish_options = polish_options or NewtonOptions(
-            damping=1.0, tolerance=1e3 * _DOUBLE_EPS, max_iterations=100
+            damping=1.0, tolerance=1e3 * DOUBLE_EPS, max_iterations=100
         )
         self.fallback_options = fallback_options or NewtonOptions(
             damping=self.polish_options.damping,
@@ -179,6 +190,7 @@ class DegradationLadder:
         if not rungs:
             raise ValueError("the ladder needs at least one rung")
         self.rungs = tuple(rungs)
+        self.linear_solver = linear_solver
 
     def solve(
         self,
@@ -207,10 +219,12 @@ class DegradationLadder:
             else np.asarray(initial_guess, dtype=float)
         )
         hook = self._compose_hook(deadline, iteration_hook)
+        solver = self.linear_solver if self.linear_solver is not None else LinearKernel()
         attempts: List[RungAttempt] = []
         best_u: Optional[np.ndarray] = None
         best_norm = float("inf")
         seed = guess  # running best starting point for digital rungs
+        analog: Optional[AnalogSolveResult] = None
         timed_out = False
 
         with tracer.span("ladder", dimension=system.dimension) as ladder_span:
@@ -223,11 +237,22 @@ class DegradationLadder:
                 with tracer.span("ladder_rung", rung=rung) as rung_span:
                     try:
                         if rung == "hybrid":
-                            result, seed = self._hybrid_rung(
-                                system, guess, value_bound, analog_time_limit, tracer, hook
+                            result, seed, analog = self._hybrid_rung(
+                                system, guess, value_bound, analog_time_limit, solver, tracer, hook
                             )
                         elif rung == "damped_newton":
-                            result = self._damped_rung(system, seed, tracer, hook)
+                            result = _attempt_from_newton(
+                                "damped_newton",
+                                damped_recovery(
+                                    system,
+                                    seed,
+                                    self.polish_options,
+                                    self.fallback_options,
+                                    solver,
+                                    tracer=tracer,
+                                    iteration_hook=hook,
+                                ),
+                            )
                         else:  # homotopy
                             result = self._homotopy_rung(system, guess, tracer, hook)
                     except DeadlineExceeded:
@@ -275,6 +300,7 @@ class DegradationLadder:
                             rung=rung,
                             residual_norm=result.residual_norm,
                             attempts=attempts,
+                            analog=analog,
                         )
             ladder_span.update(converged=False, timed_out=timed_out)
         return LadderResult(
@@ -284,6 +310,7 @@ class DegradationLadder:
             residual_norm=best_norm,
             attempts=attempts,
             timed_out=timed_out,
+            analog=analog,
         )
 
     # -- rungs ----------------------------------------------------------
@@ -309,10 +336,11 @@ class DegradationLadder:
         guess: np.ndarray,
         value_bound: float,
         analog_time_limit: float,
+        solver: LinearSolverLike,
         tracer: TracerLike,
         hook: Optional[IterationHook],
     ):
-        """Analog seed + undamped polish; returns (attempt, seed)."""
+        """Analog seed + undamped polish; returns (attempt, seed, analog)."""
         analog = self.accelerator.solve(
             system,
             initial_guess=guess,
@@ -334,32 +362,12 @@ class DegradationLadder:
                 residual_norm=float(analog.residual_norm),
                 error=f"analog seed rejected by quality gate{detail}",
             )
-            return attempt, guess
+            return attempt, guess, analog
         seed = analog.solution if analog.converged else guess
-        solver = LinearKernel()
         polish = newton_solve(
             system, seed, self.polish_options, solver, tracer=tracer, iteration_hook=hook
         )
-        attempt = _attempt_from_newton("hybrid", polish)
-        return attempt, seed
-
-    def _damped_rung(
-        self,
-        system: NonlinearSystem,
-        seed: np.ndarray,
-        tracer: TracerLike,
-        hook: Optional[IterationHook],
-    ) -> RungAttempt:
-        result = damped_recovery(
-            system,
-            seed,
-            self.polish_options,
-            self.fallback_options,
-            LinearKernel(),
-            tracer=tracer,
-            iteration_hook=hook,
-        )
-        return _attempt_from_newton("damped_newton", result)
+        return _attempt_from_newton("hybrid", polish), seed, analog
 
     def _homotopy_rung(
         self,
@@ -389,4 +397,5 @@ def _attempt_from_newton(rung: str, result: NewtonResult) -> RungAttempt:
         iterations=int(result.iterations),
         error=result.failure_reason,
         u=result.u,
+        newton=result,
     )

@@ -71,7 +71,7 @@ from repro.runtime.api import (
     stable_seed,
 )
 from repro.runtime.faults import FaultInjector, InjectedWorkerCrash
-from repro.runtime.ladder import DEFAULT_RUNGS, DegradationLadder
+from repro.runtime.ladder import DegradationLadder
 from repro.trace.tracer import Tracer, TracerLike, as_tracer
 
 __all__ = ["AttemptReport", "BatchResult", "Runtime"]
@@ -208,11 +208,7 @@ def _execute_attempt(
         if board is not None and board.skip_analog:
             # Predictive veto or fleet exhaustion: the settle is not
             # paid for; the ladder starts at the digital rungs.
-            base = (
-                rungs
-                if rungs is not None
-                else ((ladder_kwargs or {}).get("rungs") or DEFAULT_RUNGS)
-            )
+            base = rungs if rungs is not None else ladder.rungs
             rungs = tuple(r for r in base if r != "hybrid") or ("damped_newton",)
         result = ladder.solve(
             system,

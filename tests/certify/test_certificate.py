@@ -119,6 +119,30 @@ class TestDigestBinding:
         assert back.digest == cert.digest
 
 
+    def test_digests_are_pinned(self):
+        """Certificate digests hash every check value and detail string,
+        so these pins catch any change to what certification computes.
+        The solution digests are pinned too: if they move, the solver
+        changed, not the certificate."""
+        spec = ProblemSpec.burgers(2, 2.0, seed=0)
+        solution = burgers_solution(spec)
+        assert solution_digest(solution) == (
+            "9aaa85783caf4e0245d60cf96137d888c616151862e3d8b5e203ee70e1a5c177"
+        )
+        assert certify_solution(spec, solution).digest == (
+            "54d780811e6554c8b910625956039d57861438098d8a67c01bf9129d25baa066"
+        )
+        assert certify_solution(spec, solution + 1e-3).digest == (
+            "037ed8f17e099d70a5984a9c048e8d9f407c45443145ef38a5db6ec236a685fa"
+        )
+        root = quad_root()
+        assert solution_digest(root) == (
+            "8a6b00ea1a3e98173848ba1097a0f1976b55a7ad326dca4c5b07b9af09861941"
+        )
+        assert certify_solution(QUAD, root).digest == (
+            "97481e074f2d03116c98b01029cae2bcfdce49609f3f8be84b8c21cd2ee3b7d7"
+        )
+
 class TestCertifyPolicy:
     def test_coerce_contract(self):
         assert CertifyPolicy.coerce(None) is None

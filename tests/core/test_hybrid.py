@@ -5,10 +5,11 @@ import pytest
 
 from repro.analog.engine import AnalogAccelerator
 from repro.analog.noise import NoiseModel
-from repro.core.hybrid import DOUBLE_EPS, HybridResult, HybridSolver
+from repro.core.hybrid import HybridResult, HybridSolver
 from repro.nonlinear.newton import NewtonOptions
 from repro.nonlinear.systems import CoupledQuadraticSystem
 from repro.pde.burgers import random_burgers_system
+from repro.runtime.ladder import DOUBLE_EPS, FALLBACK_TOLERANCE_FLOOR
 
 
 class TestHybridSolver:
@@ -83,8 +84,8 @@ class TestFallbackOptions:
         # recovery used to loop every damping level to the iteration
         # cap. The default fallback gets its own relaxed floor.
         solver = HybridSolver(AnalogAccelerator(seed=0))
-        assert solver.polish_options.tolerance < HybridSolver.FALLBACK_TOLERANCE_FLOOR
-        assert solver.fallback_options.tolerance == HybridSolver.FALLBACK_TOLERANCE_FLOOR
+        assert solver.polish_options.tolerance < FALLBACK_TOLERANCE_FLOOR
+        assert solver.fallback_options.tolerance == FALLBACK_TOLERANCE_FLOOR
         assert solver.fallback_options.max_iterations >= 200
 
     def test_explicit_fallback_options_respected(self):

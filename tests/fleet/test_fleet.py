@@ -6,7 +6,7 @@ fleet leaves a Runtime batch bitwise identical to no fleet at all.
 
 import pytest
 
-from repro.analog.health import DegradationModel, _stable_seed
+from repro.analog.health import DegradationModel, stable_seed
 from repro.experiments import run_capacity
 from repro.fleet import (
     AnalogBoard,
@@ -86,9 +86,9 @@ class TestBoardSeedStreams:
         the die and degradation seeds the pre-fleet runtime derived."""
         board = AnalogBoard(board_id=0)
         assert board.die_seed(11, "req-0001", 2) == (
-            _stable_seed(11, "req-0001", 2, "die") % 2**31
+            stable_seed(11, "req-0001", 2, "die") % 2**31
         )
-        assert board.degradation_seed(11, "req-0001", 2) == _stable_seed(
+        assert board.degradation_seed(11, "req-0001", 2) == stable_seed(
             11, "req-0001", 2, "degradation"
         )
 

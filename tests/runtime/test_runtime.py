@@ -12,7 +12,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.nonlinear.newton import NewtonOptions
 from repro.runtime import (
     Deadline,
     DeadlineExceeded,
@@ -31,6 +30,11 @@ from repro.trace.tracer import Tracer
 
 
 class TestStableSeed:
+    def test_one_definition_shared_with_the_analog_layer(self):
+        from repro.analog.health import stable_seed as analog_stable_seed
+
+        assert stable_seed is analog_stable_seed
+
     def test_deterministic_across_calls(self):
         assert stable_seed(1, "req", 0) == stable_seed(1, "req", 0)
 
@@ -227,8 +231,29 @@ class TestDegradationLadder:
         assert result.converged
         assert result.rung == "damped_newton"
         assert result.rungs_tried == ("hybrid", "damped_newton")
-        polish_tol = NewtonOptions(damping=1.0).tolerance  # noqa: F841 (doc anchor)
         assert result.residual_norm < 1e-8
+
+        # HybridSolver is this ladder's first two rungs: on a drifted
+        # board whose seed the quality gate rejects, it skips the polish
+        # and reports the damped rung's converged Newton result.
+        from repro.analog.engine import AnalogAccelerator
+        from repro.analog.health import DegradationModel
+        from repro.core import HybridSolver
+
+        system, guess = ProblemSpec.burgers(2, 1.0, seed=0).build()
+        board = AnalogAccelerator(
+            seed=1, degradation=DegradationModel(offset_drift_sigma=0.2, seed=5)
+        )
+        tracer = Tracer()
+        hybrid = HybridSolver(board).solve(
+            system, initial_guess=guess, analog_time_limit=20.0, tracer=tracer
+        )
+        assert hybrid.analog.converged and hybrid.analog.seed_accepted is False
+        assert hybrid.converged and hybrid.digital.converged
+        assert hybrid.residual_norm < 1e-8
+        rungs = [span.attrs["rung"] for span in tracer.spans_named("ladder_rung")]
+        assert rungs == ["hybrid", "damped_newton"]
+        assert tracer.spans_named("ladder_rung")[-1].attrs["outcome"] == "converged"
 
 
 class TestSerialRuntime:

@@ -230,6 +230,29 @@ def test_verify_journal_missing_file_exits_two(tmp_path, capsys):
     assert "cannot audit" in capsys.readouterr().err
 
 
+def test_verify_journal_unknown_problem_kind_exits_two(tmp_path, capsys):
+    import json
+
+    from repro.checkpoint.atomic import payload_digest
+
+    journal = tmp_path / "batch.journal"
+    argv = ["serve-batch", "--requests", "1", "--workers", "1", "--seed", "3"]
+    assert main(argv + ["--analog-time-limit", "1e-3", "--journal", str(journal)]) == 0
+    capsys.readouterr()
+    lines = []
+    for line in journal.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("kind") == "request_accepted":
+            record.pop("sha256", None)
+            record["request"]["problem"]["kind"] = "bratu"
+            record["sha256"] = payload_digest(record)
+            line = json.dumps(record)
+        lines.append(line)
+    journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify-journal", str(journal)]) == 2
+    assert "unknown problem kind 'bratu'" in capsys.readouterr().err
+
+
 def test_serve_canary_interval_requires_boards():
     with pytest.raises(SystemExit):
         main(

@@ -24,6 +24,7 @@ PACKAGES = [
     "repro.fleet",
     "repro.bench",
     "repro.certify",
+    "repro.families",
     "repro.cli",
 ]
 

@@ -71,6 +71,30 @@ class TestGoldenCli:
             ),
         )
 
+    def test_figure8_matches_golden(self, capsys, golden):
+        """Figure 8 drives HybridSolver (analog seed, undamped polish,
+        damped fallback) against the damped baseline; every counted
+        column is seeded, so the table is pinned byte for byte."""
+        golden(
+            "figure8",
+            _normalize(
+                _run_cli(
+                    [
+                        "figure8",
+                        "--grid",
+                        "4",
+                        "--reynolds",
+                        "0.25,1.0,2.0",
+                        "--trials",
+                        "2",
+                        "--seed",
+                        "0",
+                    ],
+                    capsys,
+                )
+            ),
+        )
+
     def test_consecutive_same_seed_runs_identical(self, capsys):
         """Two figure2 runs at the same settings render byte-identically
         (the golden files above are meaningful only if this holds)."""
