@@ -43,6 +43,7 @@ from repro.analog.health import (
 )
 from repro.analog.noise import NoiseModel
 from repro.analog.scaling import ScaledSystem, required_scale
+from repro.linalg.sparse import CsrMatrix
 from repro.nonlinear.continuous_newton import continuous_newton_solve
 from repro.nonlinear.homotopy import davidenko_solve
 from repro.nonlinear.systems import NonlinearSystem
@@ -94,6 +95,9 @@ class DistortedSystem(NonlinearSystem):
         ):
             if arr.shape != (self.dimension,):
                 raise ValueError(f"{name} must have shape ({self.dimension},)")
+        # (indptr, indices, row gains, column gains) of the last
+        # read-only Jacobian pattern seen.
+        self._pattern_gains: Optional[tuple] = None
 
     def residual(self, w: np.ndarray) -> np.ndarray:
         w = self._validate(w)
@@ -106,11 +110,22 @@ class DistortedSystem(NonlinearSystem):
             return (self._eq_gain[:, None] * jac) * self._state_gain[None, :]
         # Preserve sparsity: scale rows by equation gains and columns by
         # state gains directly on the CSR data array.
-        from repro.linalg.sparse import CsrMatrix as _Csr
+        eq, state = self._gains_on(jac)
+        data = jac.data * eq * state
+        return CsrMatrix(shape=jac.shape, indptr=jac.indptr, indices=jac.indices, data=data)
 
+    def _gains_on(self, jac: CsrMatrix) -> tuple:
+        """Each stored entry's row gain and column gain. Computed once
+        per pattern when the pattern's arrays are read-only (a cached
+        stencil pattern), else on every call."""
+        cached = self._pattern_gains
+        if cached is not None and cached[0] is jac.indptr and cached[1] is jac.indices:
+            return cached[2], cached[3]
         row_ids = np.repeat(np.arange(jac.num_rows), np.diff(jac.indptr))
-        data = jac.data * self._eq_gain[row_ids] * self._state_gain[jac.indices]
-        return _Csr(shape=jac.shape, indptr=jac.indptr, indices=jac.indices, data=data)
+        gains = (self._eq_gain[row_ids], self._state_gain[jac.indices])
+        if not (jac.indptr.flags.writeable or jac.indices.flags.writeable):
+            self._pattern_gains = (jac.indptr, jac.indices) + gains
+        return gains
 
 
 @dataclass

@@ -15,8 +15,9 @@ iterations, linear solves — deterministic at fixed seed):
 * ``serve_batch`` — a batch soak through the fault-tolerant
   :class:`repro.runtime.Runtime` (admission, ladder, absorbed worker
   traces);
-* ``kernel_micro`` — the hot-loop microbench: ``csr_from_triplets``
-  stencil assembly, CSR matvec, and cached-preconditioner
+* ``kernel_micro`` — the hot-loop microbench: the numeric phase of
+  stencil Jacobian assembly (values written into the pattern cached by
+  the first call), CSR matvec, and cached-preconditioner
   :class:`~repro.linalg.kernel.LinearKernel` solves;
 * ``service_soak`` — sustained requests/sec through the sharded async
   solve service (:mod:`repro.service`): a stream of cheap digital-only
@@ -320,7 +321,8 @@ def _bench_kernel_micro(params: Dict[str, Any], seed: int) -> BenchmarkResult:
         jacobian = system.jacobian(guess)
         rhs = -system.residual(guess)
 
-        # Hot path 1: stencil assembly (csr_from_triplets under the hood).
+        # Hot path 1: stencil assembly. The call above built and cached
+        # the sparsity pattern, so each span times the numeric phase only.
         for _ in range(params["assemblies"]):
             with tracer.span("stencil_assembly", dimension=system.dimension):
                 jacobian = system.jacobian(guess)

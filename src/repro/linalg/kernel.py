@@ -189,6 +189,8 @@ class LinearKernel:
 
         self._preconditioner: Optional[Preconditioner] = None
         self._pattern: Optional[Tuple] = None
+        # (indptr, indices, key) of the last read-only pattern digested.
+        self._known_pattern: Optional[Tuple] = None
         self._reference_iterations: Optional[int] = None
         # Lifetime counters independent of any external stats sink.
         self.factorizations = 0
@@ -201,7 +203,26 @@ class LinearKernel:
         """Drop the cached preconditioner and symbolic structure."""
         self._preconditioner = None
         self._pattern = None
+        self._known_pattern = None
         self._reference_iterations = None
+
+    def _key_of(self, matrix: CsrMatrix) -> Tuple:
+        """:func:`_pattern_key` of ``matrix``, digested once per read-only
+        pattern: a matrix carrying the very arrays digested last time
+        (a cached stencil pattern, which nothing may write) reuses
+        that key."""
+        known = self._known_pattern
+        if (
+            known is not None
+            and known[0] is matrix.indptr
+            and known[1] is matrix.indices
+            and known[2][0] == matrix.shape
+        ):
+            return known[2]
+        key = _pattern_key(matrix)
+        if not (matrix.indptr.flags.writeable or matrix.indices.flags.writeable):
+            self._known_pattern = (matrix.indptr, matrix.indices, key)
+        return key
 
     # -- checkpointing ----------------------------------------------------
 
@@ -291,7 +312,7 @@ class LinearKernel:
             self._charge(sink, iterations=0, matvecs=0, builds=0)
             return delta
 
-        pattern = _pattern_key(jacobian)
+        pattern = self._key_of(jacobian)
         builds = 0
         if self._pattern != pattern or (
             self._preconditioner is None and self.preconditioner_kind != "none"

@@ -79,6 +79,7 @@ class BurgersStencilSystem(NonlinearSystem):
         self.boundary_u = boundary_u
         self.boundary_v = boundary_v
         self.dimension = 2 * grid.num_nodes
+        self._csr_pattern: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- state packing ------------------------------------------------
 
@@ -111,7 +112,6 @@ class BurgersStencilSystem(NonlinearSystem):
     def jacobian(self, w: np.ndarray) -> CsrMatrix:
         u, v = self.split(w)
         grid = self.grid
-        nx, ny, n = grid.nx, grid.ny, grid.num_nodes
         dx, dy = grid.dx, grid.dy
         wgt = self.weight
         inv_re = 1.0 / self.reynolds
@@ -121,63 +121,81 @@ class BurgersStencilSystem(NonlinearSystem):
         ux, uy = central_x(up, dx), central_y(up, dy)
         vx, vy = central_x(vp, dx), central_y(vp, dy)
 
-        jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-        k = (jj * nx + ii).ravel()
-
         visc_center = 2.0 * inv_re * (1.0 / dx**2 + 1.0 / dy**2)
         adv_e = u / (2.0 * dx)
         adv_n = v / (2.0 * dy)
         visc_x = inv_re / dx**2
         visc_y = inv_re / dy**2
-
-        triplet_rows = []
-        triplet_cols = []
-        triplet_vals = []
-
-        def add_block(rows, cols, vals, mask=None):
-            vals = np.asarray(vals, dtype=float).ravel()
-            if vals.shape != rows.shape:
-                vals = np.broadcast_to(vals, rows.shape).copy()
-            if mask is None:
-                triplet_rows.append(rows)
-                triplet_cols.append(cols)
-                triplet_vals.append(vals)
-            else:
-                m = mask.ravel()
-                triplet_rows.append(rows[m])
-                triplet_cols.append(cols[m])
-                triplet_vals.append(vals[m])
-
-        east = (ii < nx - 1).ravel()
-        west = (ii > 0).ravel()
-        north = (jj < ny - 1).ravel()
-        south = (jj > 0).ravel()
-
-        for block, (adv_grad_own, cross_grad) in enumerate(((ux, uy), (vy, vx))):
-            # block 0: rows are F_u, own field u. block 1: rows F_v, own v.
-            row = k + block * n
-            col_own = k + block * n
-            if block == 0:
-                center = 1.0 + wgt * (ux.ravel() + visc_center)
-            else:
-                center = 1.0 + wgt * (vy.ravel() + visc_center)
-            add_block(row, col_own, center)
-            add_block(row, col_own + 1, wgt * (adv_e.ravel() - visc_x), east)
-            add_block(row, col_own - 1, wgt * (-adv_e.ravel() - visc_x), west)
-            add_block(row, col_own + nx, wgt * (adv_n.ravel() - visc_y), north)
-            add_block(row, col_own - nx, wgt * (-adv_n.ravel() - visc_y), south)
-            # Cross-coupling to the other field at the same node:
-            # dF_u/dv = weight * u_y ; dF_v/du = weight * v_x.
-            col_other = k + (1 - block) * n
-            add_block(row, col_other, wgt * cross_grad.ravel())
-
-        return csr_from_triplets(
-            self.dimension,
-            self.dimension,
-            np.concatenate(triplet_rows),
-            np.concatenate(triplet_cols),
-            np.concatenate(triplet_vals),
+        east = wgt * (adv_e.ravel() - visc_x)
+        west = wgt * (-adv_e.ravel() - visc_x)
+        north = wgt * (adv_n.ravel() - visc_y)
+        south = wgt * (-adv_n.ravel() - visc_y)
+        # Per block, one value per node for each stencil slot, in the
+        # slot order of _pattern: center, east, west, north, south, cross.
+        values = np.concatenate(
+            [
+                1.0 + wgt * (ux.ravel() + visc_center), east, west, north, south, wgt * uy.ravel(),
+                1.0 + wgt * (vy.ravel() + visc_center), east, west, north, south, wgt * vx.ravel(),
+            ]
         )
+        indptr, indices, gather = self._pattern()
+        # "+ 0.0" turns -0.0 into 0.0, as the packing's sums from 0.0 do,
+        # so these bytes equal a triplet assembly's.
+        return CsrMatrix(
+            shape=(self.dimension, self.dimension),
+            indptr=indptr,
+            indices=indices,
+            data=values[gather] + 0.0,
+        )
+
+    def _pattern(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Jacobian's symbolic phase, run on the first call only.
+
+        Returns read-only ``indptr`` and ``indices`` and the ``gather``
+        that takes the per-node stencil values (laid out as in
+        :meth:`jacobian`) to CSR order.
+        """
+        if self._csr_pattern is None:
+            grid = self.grid
+            nx, ny, n = grid.nx, grid.ny, grid.num_nodes
+            jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+            k = (jj * nx + ii).ravel()
+            every = np.ones(n, dtype=bool)
+            east, west = (ii < nx - 1).ravel(), (ii > 0).ravel()
+            north, south = (jj < ny - 1).ravel(), (jj > 0).ravel()
+            rows, cols, keep = [], [], []
+            for block in (0, 1):
+                # block 0: rows are F_u, own field u. block 1: rows F_v, own v.
+                own = k + block * n
+                slots = (
+                    (own, every),
+                    (own + 1, east),
+                    (own - 1, west),
+                    (own + nx, north),
+                    (own - nx, south),
+                    # Cross-coupling to the other field at the same node:
+                    # dF_u/dv = weight * u_y ; dF_v/du = weight * v_x.
+                    (k + (1 - block) * n, every),
+                )
+                for col, inside in slots:
+                    rows.append(own)
+                    cols.append(col)
+                    keep.append(inside)
+            keep = np.concatenate(keep)
+            source = np.flatnonzero(keep)
+            packed = csr_from_triplets(
+                self.dimension,
+                self.dimension,
+                np.concatenate(rows)[keep],
+                np.concatenate(cols)[keep],
+                source.astype(float),
+            )
+            assert packed.nnz == source.size, "stencil entries must not repeat"
+            gather = packed.data.astype(np.int64)
+            for array in (packed.indptr, packed.indices, gather):
+                array.flags.writeable = False
+            self._csr_pattern = (packed.indptr, packed.indices, gather)
+        return self._csr_pattern
 
     # -- diagnostics ----------------------------------------------------
 

@@ -58,6 +58,36 @@ class TestPreconditionerReuse:
         assert kernel.factorizations == 3
         assert kernel.reuses == 0
 
+    def test_read_only_pattern_digested_once(self, monkeypatch):
+        """A read-only (cached) pattern is digested on first sight only;
+        a writeable one on every solve. Both keep the digest key, so a
+        restored kernel still recognises the pattern."""
+        from repro.linalg import kernel as kernel_module
+
+        digests = []
+        digest = kernel_module._pattern_key
+        monkeypatch.setattr(
+            kernel_module, "_pattern_key", lambda m: digests.append(m) or digest(m)
+        )
+        base = _tridiag(12)
+        indptr, indices = base.indptr.copy(), base.indices.copy()
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        kernel = LinearKernel()
+        for step in range(3):
+            matrix = CsrMatrix(base.shape, indptr, indices, base.data * (1.0 + 0.01 * step))
+            kernel.solve(matrix, np.ones(12))
+        assert len(digests) == 1
+        kernel.solve(base, np.ones(12))
+        kernel.solve(base, np.ones(12))
+        assert len(digests) == 3
+        assert (kernel.factorizations, kernel.reuses) == (1, 4)
+
+        restored = LinearKernel()
+        restored.restore_checkpoint_state(kernel.checkpoint_state())
+        restored.solve(CsrMatrix(base.shape, indptr, indices, base.data), np.ones(12))
+        assert (restored.factorizations, restored.reuses) == (1, 5)
+
     def test_reset_drops_cache(self):
         kernel = LinearKernel()
         matrix = _tridiag(16)
