@@ -1,26 +1,26 @@
 #!/usr/bin/env python
-"""CI perf regression gate over two ``BENCH_<n>.json`` reports.
+"""CI work regression gate over two ``BENCH_<n>.json`` reports.
 
     python scripts/check_bench_regression.py BASELINE.json CANDIDATE.json
-    python scripts/check_bench_regression.py BENCH_5.json BENCH_6.json --work-only
+    python scripts/check_bench_regression.py BENCH_9.json fresh.json --work-tolerance 0.02
 
 Thin wrapper over :func:`repro.bench.compare_reports` so CI can gate a
 fresh run against the committed trajectory snapshot without invoking
-the full CLI. ``--work-only`` restricts the gate to the deterministic
-work metrics (Newton iterations, linear solves, modeled speedup) —
-wall-clock comparisons against a snapshot committed from different
-hardware are noise, but the work metrics are bitwise reproducible at
-fixed seed and scale.
+the full CLI. The gate reads only the deterministic work metrics
+(Newton iterations, linear solves, modeled speedup): they are bitwise
+reproducible at fixed seed and scale, so a snapshot committed from
+different hardware still compares. Wall-clock is not gated; speed
+claims are measured by ``perfbench/``.
 
-``--inject-slowdown BENCH:METRIC:FACTOR`` multiplies one candidate
-metric before comparing — the self-test seam CI uses to prove the gate
-actually fails on a seeded regression (a gate that cannot fail is not
-a gate).
+``--inject-slowdown BENCH:work.METRIC:FACTOR`` multiplies one candidate
+work metric before comparing — the self-test seam CI uses to prove the
+gate actually fails on a seeded regression (a gate that cannot fail is
+not a gate).
 
 Exit codes: 0 ok, 1 regression (or invalid report), 2 reports not
 comparable (scale/seed mismatch), 3 a report path does not exist.
 The missing-file case is distinct from a regression so CI can tell a
-never-committed / mistyped snapshot path apart from a real slowdown.
+never-committed / mistyped snapshot path apart from a real regression.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ from repro.bench import (  # noqa: E402  (path bootstrap above)
     ScaleMismatch,
     compare_reports,
 )
-from repro.bench.compare import (  # noqa: E402
-    DEFAULT_TIME_TOLERANCE,
-    DEFAULT_WORK_TOLERANCE,
-)
+from repro.bench.compare import DEFAULT_WORK_TOLERANCE  # noqa: E402
 
 
 def _inject_slowdown(report: BenchReport, spec: str) -> None:
-    """Multiply one metric in place: ``benchmark:metric:factor``."""
+    """Multiply one work metric in place: ``benchmark:work.metric:factor``."""
     try:
         bench_name, metric, factor_text = spec.split(":")
         factor = float(factor_text)
@@ -52,19 +49,10 @@ def _inject_slowdown(report: BenchReport, spec: str) -> None:
     bench = report.benchmarks.get(bench_name)
     if bench is None:
         raise SystemExit(f"--inject-slowdown: no benchmark {bench_name!r} in candidate")
-    if metric == "wall_seconds":
-        bench.wall_seconds *= factor
-        return
     group, _, key = metric.partition(".")
-    table = {
-        "span_seconds": bench.span_seconds,
-        "span_counts": bench.span_counts,
-        "counters": bench.counters,
-        "work": bench.work,
-    }.get(group)
-    if table is None or key not in table:
-        raise SystemExit(f"--inject-slowdown: no metric {metric!r} on {bench_name!r}")
-    table[key] = type(table[key])(table[key] * factor)
+    if group != "work" or key not in bench.work:
+        raise SystemExit(f"--inject-slowdown: no work metric {metric!r} on {bench_name!r}")
+    bench.work[key] *= factor
 
 
 EXIT_CODE_EPILOG = """\
@@ -86,18 +74,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("baseline", help="previous BENCH_<n>.json")
     parser.add_argument("candidate", help="fresh BENCH_<n>.json to gate")
-    parser.add_argument("--time-tolerance", type=float, default=DEFAULT_TIME_TOLERANCE)
     parser.add_argument("--work-tolerance", type=float, default=DEFAULT_WORK_TOLERANCE)
-    parser.add_argument(
-        "--work-only",
-        action="store_true",
-        help="gate only deterministic work metrics (cross-machine CI mode)",
-    )
     parser.add_argument(
         "--inject-slowdown",
         metavar="BENCH:METRIC:FACTOR",
         default=None,
-        help="self-test seam: scale one candidate metric before comparing",
+        help="self-test seam: scale one candidate work metric before comparing",
     )
     args = parser.parse_args(argv)
 
@@ -121,9 +103,7 @@ def main(argv=None) -> int:
         comparison = compare_reports(
             baseline,
             candidate,
-            time_tolerance=args.time_tolerance,
             work_tolerance=args.work_tolerance,
-            work_only=args.work_only,
             baseline_label=args.baseline,
             candidate_label=args.candidate,
         )

@@ -1,22 +1,24 @@
-"""repro.bench: the performance scoreboard (ROADMAP item 3).
+"""repro.bench: the deterministic work gate.
 
-Machine-readable benchmark reports plus the regression gate that makes
-"measurably faster" enforceable:
+Machine-readable benchmark reports plus the regression gate CI runs on
+the work every layer does (iterations, solves, settles, caught
+corruptions). Speed claims are measured by ``perfbench/`` instead:
+seeded medians with their spread, not one wall-clock sample.
 
 * :mod:`repro.bench.schema` — schema-versioned ``BENCH_<n>.json``
   reports (wall-clock, :mod:`repro.trace` span sums, counter totals,
   deterministic work metrics, peak RSS) and the numbered-trajectory
   file conventions;
-* :mod:`repro.bench.suite` — the fixed suite ``repro bench`` runs: a
-  figure7-scale Burgers trajectory, the figure8 seeding comparison, a
-  ``serve-batch`` soak through :mod:`repro.runtime`, and a
-  ``LinearKernel``/stencil microbench;
-* :mod:`repro.bench.compare` — the hot-path comparator behind
+* :mod:`repro.bench.suite` — the fixed seven-benchmark suite
+  ``repro bench`` runs: a figure7-scale Burgers trajectory, the figure8
+  seeding comparison, a ``serve-batch`` soak through
+  :mod:`repro.runtime`, a ``LinearKernel`` microbench, and the service,
+  fleet and certification soaks;
+* :mod:`repro.bench.compare` — the work comparator behind
   ``repro bench --compare`` and ``scripts/check_bench_regression.py``.
 """
 
 from repro.bench.compare import (
-    DEFAULT_TIME_TOLERANCE,
     DEFAULT_WORK_TOLERANCE,
     HOT_PATHS,
     ComparisonResult,
@@ -46,7 +48,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BENCHMARK_NAMES",
     "DEFAULT_SCALE",
-    "DEFAULT_TIME_TOLERANCE",
     "DEFAULT_WORK_TOLERANCE",
     "HOT_PATHS",
     "SCALES",

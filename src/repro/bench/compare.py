@@ -1,18 +1,15 @@
-"""The perf regression gate: compare two ``BENCH_<n>.json`` reports.
+"""The work regression gate: compare two ``BENCH_<n>.json`` reports.
 
 ``repro bench --compare BENCH_<n-1>.json`` (and the CI wrapper
 ``scripts/check_bench_regression.py``) diff a candidate report against
 a baseline on the suite's **named hot paths** and fail on regressions
-past tolerance. Two metric kinds with different physics:
-
-* ``work`` — deterministic effort (Newton iterations, linear solves,
-  inner iterations, modeled speedup). Bitwise reproducible at fixed
-  seed/scale, so they are compared with a *tight* tolerance (default
-  1%) and are meaningful across machines — this is what the CI gate
-  leans on (``work_only=True``).
-* ``time`` — wall-clock and span-duration sums. Machine- and
-  load-dependent, so the default tolerance is generous (20%) and CI
-  skips them against a snapshot committed from different hardware.
+past tolerance. Every hot path is a ``work`` metric: deterministic
+effort (Newton iterations, linear solves, inner iterations, modeled
+speedup) that is bitwise reproducible at fixed seed and scale, so it
+is compared with a tight tolerance (default 1%) and means the same on
+any machine. Reports still carry wall-clock and span sums for reading,
+but nothing here gates on them: speed claims are measured by
+``perfbench/`` (seeded medians with their spread).
 
 Improvements never fail; only the regression direction is gated (for
 ``modeled_speedup`` the regression direction is *down*). A hot-path
@@ -40,7 +37,6 @@ __all__ = [
     "compare_reports",
 ]
 
-DEFAULT_TIME_TOLERANCE = 0.20
 DEFAULT_WORK_TOLERANCE = 0.01
 
 
@@ -50,15 +46,14 @@ class ScaleMismatch(ValueError):
 
 @dataclass(frozen=True)
 class HotPath:
-    """One gated metric: where it lives and how it may regress.
+    """One gated work metric: where it lives and how it may regress.
 
-    ``kind`` is ``"time"`` or ``"work"``; ``higher_is_better`` flips
-    the regression direction (modeled speedup must not *drop*).
+    ``higher_is_better`` flips the regression direction (modeled
+    speedup must not *drop*).
     """
 
     benchmark: str
     metric: str
-    kind: str
     higher_is_better: bool = False
 
     @property
@@ -66,65 +61,44 @@ class HotPath:
         return f"{self.benchmark}:{self.metric}"
 
 
-# The named hot paths every speed PR is gated against. Span sums name
-# the stages the roadmap's compiled-backend work will move; the work
-# metrics pin convergence behaviour (a "speedup" that converges less
-# is a regression, not a win).
+# The named hot paths every PR is gated against: the work metrics pin
+# convergence behaviour (a "speedup" that converges less is a
+# regression, not a win).
 HOT_PATHS: Tuple[HotPath, ...] = (
     # trajectory: the implicit method-of-lines path.
-    HotPath("trajectory", "wall_seconds", "time"),
-    HotPath("trajectory", "span_seconds.linear_solve", "time"),
-    HotPath("trajectory", "work.newton_iterations", "work"),
-    HotPath("trajectory", "work.linear_solves", "work"),
-    HotPath("trajectory", "work.inner_iterations", "work"),
+    HotPath("trajectory", "work.newton_iterations"),
+    HotPath("trajectory", "work.linear_solves"),
+    HotPath("trajectory", "work.inner_iterations"),
     # figure8: the headline seeding claim.
-    HotPath("figure8_seeding", "wall_seconds", "time"),
-    HotPath("figure8_seeding", "span_seconds.linear_solve", "time"),
-    HotPath("figure8_seeding", "span_seconds.analog_settle", "time"),
-    HotPath("figure8_seeding", "work.inner_iterations", "work"),
-    HotPath("figure8_seeding", "work.modeled_speedup", "work", higher_is_better=True),
-    # serve-batch: the runtime orchestration overhead.
-    HotPath("serve_batch", "wall_seconds", "time"),
-    HotPath("serve_batch", "work.requests_completed", "work", higher_is_better=True),
-    HotPath("serve_batch", "work.newton_iterations", "work"),
-    # kernel microbench: assembly + matvec + cached-factorization solve.
-    HotPath("kernel_micro", "span_seconds.stencil_assembly", "time"),
-    HotPath("kernel_micro", "span_seconds.csr_matvec", "time"),
-    HotPath("kernel_micro", "span_seconds.linear_solve", "time"),
-    HotPath("kernel_micro", "work.inner_iterations", "work"),
-    HotPath("kernel_micro", "work.preconditioner_builds", "work"),
-    # service soak: sustained throughput at fixed p99 through the
-    # sharded async service (requests/sec must not drop, tail latency
-    # must not grow; the work metrics pin exactly-once accounting).
-    HotPath("service_soak", "wall_seconds", "time"),
-    HotPath("service_soak", "counters.service_requests_per_sec", "time", higher_is_better=True),
-    HotPath("service_soak", "counters.service_p99_latency_s", "time"),
-    HotPath("service_soak", "work.requests_completed", "work", higher_is_better=True),
-    HotPath("service_soak", "work.runtime_attempts", "work"),
-    HotPath("service_soak", "work.newton_iterations", "work"),
+    HotPath("figure8_seeding", "work.inner_iterations"),
+    HotPath("figure8_seeding", "work.modeled_speedup", higher_is_better=True),
+    # serve-batch: the runtime orchestration.
+    HotPath("serve_batch", "work.requests_completed", higher_is_better=True),
+    HotPath("serve_batch", "work.newton_iterations"),
+    # kernel microbench: cached-factorization solves.
+    HotPath("kernel_micro", "work.inner_iterations"),
+    HotPath("kernel_micro", "work.preconditioner_builds"),
+    # service soak: exactly-once accounting through the sharded async
+    # service.
+    HotPath("service_soak", "work.requests_completed", higher_is_better=True),
+    HotPath("service_soak", "work.runtime_attempts"),
+    HotPath("service_soak", "work.newton_iterations"),
     # fleet soak: the board-fleet management layer. The veto count is
     # gated in both directions by proxy: fewer settles avoided at equal
     # drift means the predictive gate stopped paying for itself
     # (higher_is_better), while the attempt/settle counts catch the
     # fleet burning extra work to get there.
-    HotPath("fleet_soak", "wall_seconds", "time"),
-    HotPath("fleet_soak", "span_seconds.analog_settle", "time"),
-    HotPath("fleet_soak", "work.requests_completed", "work", higher_is_better=True),
-    HotPath("fleet_soak", "work.runtime_attempts", "work"),
-    HotPath("fleet_soak", "work.settles_avoided", "work", higher_is_better=True),
-    HotPath("fleet_soak", "work.analog_settles", "work"),
-    # certify soak: the certification layer. The overhead ratio is
-    # wall-clock based (machine-dependent, so kind "time" — skipped by
-    # the cross-machine CI gate); the work metrics pin the defense:
-    # every injected corruption caught, escalated, and blamed, with no
-    # lost requests.
-    HotPath("certify_soak", "wall_seconds", "time"),
-    HotPath("certify_soak", "counters.certify_overhead_ratio", "time"),
-    HotPath("certify_soak", "work.requests_completed", "work", higher_is_better=True),
-    HotPath("certify_soak", "work.corruption_caught", "work", higher_is_better=True),
-    HotPath("certify_soak", "work.resolves_triggered", "work"),
-    HotPath("certify_soak", "work.certificates_failed", "work"),
-    HotPath("certify_soak", "work.bitwise_identical", "work", higher_is_better=True),
+    HotPath("fleet_soak", "work.requests_completed", higher_is_better=True),
+    HotPath("fleet_soak", "work.runtime_attempts"),
+    HotPath("fleet_soak", "work.settles_avoided", higher_is_better=True),
+    HotPath("fleet_soak", "work.analog_settles"),
+    # certify soak: the certification layer's defense — every injected
+    # corruption caught, escalated, and blamed, with no lost requests.
+    HotPath("certify_soak", "work.requests_completed", higher_is_better=True),
+    HotPath("certify_soak", "work.corruption_caught", higher_is_better=True),
+    HotPath("certify_soak", "work.resolves_triggered"),
+    HotPath("certify_soak", "work.certificates_failed"),
+    HotPath("certify_soak", "work.bitwise_identical", higher_is_better=True),
 )
 
 
@@ -150,7 +124,6 @@ class MetricComparison:
         change = self.change
         return {
             "hot path": self.path.label,
-            "kind": self.path.kind,
             "baseline": "-" if self.baseline is None else f"{self.baseline:.6g}",
             "candidate": "-" if self.candidate is None else f"{self.candidate:.6g}",
             "change": "-" if change is None else f"{100 * change:+.1f}%",
@@ -166,7 +139,6 @@ class ComparisonResult:
     comparisons: List[MetricComparison]
     baseline_label: str
     candidate_label: str
-    work_only: bool = False
 
     @property
     def regressions(self) -> List[MetricComparison]:
@@ -179,8 +151,7 @@ class ComparisonResult:
     def render(self) -> str:
         lines = [
             f"bench comparison: {self.baseline_label} (baseline) vs "
-            f"{self.candidate_label} (candidate)"
-            + (" [work metrics only]" if self.work_only else ""),
+            f"{self.candidate_label} (candidate)",
             ascii_table([comparison.row() for comparison in self.comparisons]),
         ]
         if self.ok:
@@ -194,9 +165,7 @@ class ComparisonResult:
 def compare_reports(
     baseline: BenchReport,
     candidate: BenchReport,
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE,
     work_tolerance: float = DEFAULT_WORK_TOLERANCE,
-    work_only: bool = False,
     hot_paths: Sequence[HotPath] = HOT_PATHS,
     baseline_label: str = "baseline",
     candidate_label: str = "candidate",
@@ -211,39 +180,30 @@ def compare_reports(
         )
     comparisons: List[MetricComparison] = []
     for path in hot_paths:
-        tolerance = work_tolerance if path.kind == "work" else time_tolerance
         old_bench = baseline.benchmarks.get(path.benchmark)
         new_bench = candidate.benchmarks.get(path.benchmark)
         old = old_bench.metric(path.metric) if old_bench is not None else None
         new = new_bench.metric(path.metric) if new_bench is not None else None
-        if work_only and path.kind != "work":
-            comparisons.append(MetricComparison(path, old, new, tolerance, "skipped"))
-            continue
         if new is None:
             # Losing the instrumentation (or the benchmark) must fail
             # the gate: an invisible hot path is an ungated one.
             status = "missing" if old is not None else "skipped"
-            comparisons.append(MetricComparison(path, old, new, tolerance, status))
-            continue
-        if old is None:
-            comparisons.append(MetricComparison(path, old, new, tolerance, "new"))
-            continue
-        if old == 0:
+        elif old is None:
+            status = "new"
+        elif old == 0:
             status = "ok" if new == 0 else ("improved" if path.higher_is_better else "regressed")
-            comparisons.append(MetricComparison(path, old, new, tolerance, status))
-            continue
-        change = (new - old) / abs(old)
-        worse = -change if path.higher_is_better else change
-        if worse > tolerance:
-            status = "regressed"
-        elif worse < 0:
-            status = "improved"
         else:
-            status = "ok"
-        comparisons.append(MetricComparison(path, old, new, tolerance, status))
+            change = (new - old) / abs(old)
+            worse = -change if path.higher_is_better else change
+            if worse > work_tolerance:
+                status = "regressed"
+            elif worse < 0:
+                status = "improved"
+            else:
+                status = "ok"
+        comparisons.append(MetricComparison(path, old, new, work_tolerance, status))
     return ComparisonResult(
         comparisons=comparisons,
         baseline_label=baseline_label,
         candidate_label=candidate_label,
-        work_only=work_only,
     )

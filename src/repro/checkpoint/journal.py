@@ -210,7 +210,6 @@ def runtime_config_record(runtime: "Runtime") -> Dict[str, Any]:
         "seed": runtime.seed,
         "workers": runtime.workers,
         "queue_limit": runtime.queue_limit,
-        "poll_interval": runtime.poll_interval,
         "retry": {
             "max_attempts": runtime.retry.max_attempts,
             "base_delay": runtime.retry.base_delay,
@@ -273,7 +272,6 @@ def runtime_from_config(config: Dict[str, Any], **overrides: Any) -> "Runtime":
         "seed": config.get("seed", 0),
         "faults": faults,
         "ladder_kwargs": config.get("ladder_kwargs"),
-        "poll_interval": config.get("poll_interval", 0.02),
         "degradation": degradation,
         "fleet": fleet,
         "certify": certify,

@@ -69,16 +69,17 @@ with periodic atomic snapshots (``--checkpoint-dir``) and the matching
 gracefully: a final snapshot/journal record is flushed and the trace
 manifest marks the run ``interrupted``.
 
-Performance (:mod:`repro.bench`): ``bench`` runs the fixed benchmark
+Work gate (:mod:`repro.bench`): ``bench`` runs the fixed seven-benchmark
 suite — a figure7-scale Burgers trajectory, the figure8 seeding
-comparison, a ``serve-batch`` soak, and a ``LinearKernel``/stencil
-microbench — and writes a schema-versioned ``BENCH_<n>.json`` report
-(wall-clock, span sums, counters, Newton iteration counts, peak RSS)
-into the current directory (auto-numbered continuation of the
-committed trajectory). ``--compare BASELINE.json`` additionally runs
-the hot-path regression gate and exits non-zero on a regression past
-tolerance; CI uses ``--work-only`` to gate on the deterministic work
-metrics that are comparable across machines.
+comparison, a ``serve-batch`` soak, a ``LinearKernel`` microbench and
+the service, fleet and certification soaks — and writes a
+schema-versioned ``BENCH_<n>.json`` report (wall-clock, span sums,
+counters, deterministic work metrics, peak RSS) into the current
+directory (auto-numbered continuation of the committed trajectory).
+``--compare BASELINE.json`` additionally gates the deterministic work
+metrics, which are comparable across machines, and exits non-zero on a
+regression past ``--work-tolerance``. Wall-clock is recorded for
+reading only; speed claims are measured by ``perfbench/``.
 
 The solver-backed figures (7/8/9) and ``sweep`` accept ``--trace PATH``
 to record a structured JSONL trace of the run — a run manifest (grid,
@@ -561,11 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
     summary.add_argument("path", help="JSONL trace written by --trace")
 
     from repro.bench import BENCHMARK_NAMES, DEFAULT_SCALE, SCALES
-    from repro.bench.compare import DEFAULT_TIME_TOLERANCE, DEFAULT_WORK_TOLERANCE
+    from repro.bench.compare import DEFAULT_WORK_TOLERANCE
 
     bench = sub.add_parser(
         "bench",
-        help="run the fixed perf suite; emit a BENCH_<n>.json report",
+        help="run the fixed work suite; emit a BENCH_<n>.json report",
     )
     bench.add_argument(
         "--scale",
@@ -594,25 +595,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compare",
         metavar="BASELINE",
         default=None,
-        help="gate this run against a previous BENCH_<n>.json; exits 1 on "
-        "a hot-path regression past tolerance, 3 if BASELINE does not exist",
-    )
-    bench.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=DEFAULT_TIME_TOLERANCE,
-        help="allowed relative slowdown on time metrics (default 0.20)",
+        help="gate this run's work metrics against a previous BENCH_<n>.json; "
+        "exits 1 on a regression past tolerance, 3 if BASELINE does not exist",
     )
     bench.add_argument(
         "--work-tolerance",
         type=float,
         default=DEFAULT_WORK_TOLERANCE,
         help="allowed relative growth on deterministic work metrics (default 0.01)",
-    )
-    bench.add_argument(
-        "--work-only",
-        action="store_true",
-        help="gate only the deterministic work metrics (cross-machine CI mode)",
     )
     return parser
 
@@ -652,7 +642,7 @@ def _run_bench_command(args) -> int:
     comparable (scale/seed mismatch), 3 baseline snapshot missing.
     The missing-baseline case gets its own code so CI can tell "the
     trajectory snapshot was never committed / a path was fat-fingered"
-    apart from a real perf regression.
+    apart from a real work regression.
     """
     from pathlib import Path
 
@@ -693,9 +683,7 @@ def _run_bench_command(args) -> int:
             comparison = compare_reports(
                 baseline,
                 report,
-                time_tolerance=args.time_tolerance,
                 work_tolerance=args.work_tolerance,
-                work_only=args.work_only,
                 baseline_label=str(args.compare),
                 candidate_label=str(out_path) if out_path is not None else "this run",
             )

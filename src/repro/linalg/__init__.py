@@ -48,7 +48,6 @@ from repro.linalg.preconditioners import (
 from repro.linalg.kernel import LinearKernel, LinearSolverStats
 from repro.linalg.qr import SparseQr, qr_operation_count
 from repro.linalg.gradient_flow import GradientFlowResult, gradient_flow_solve
-from repro.linalg.multigrid import MultigridPoisson, MultigridResult
 from repro.linalg.refinement import RefinementResult, mixed_precision_solve
 
 __all__ = [
@@ -84,8 +83,6 @@ __all__ = [
     "qr_operation_count",
     "GradientFlowResult",
     "gradient_flow_solve",
-    "MultigridPoisson",
-    "MultigridResult",
     "RefinementResult",
     "mixed_precision_solve",
 ]

@@ -47,7 +47,6 @@ from repro.pde.poisson import PoissonProblem
 from repro.pde.bratu import BratuProblem1D, BratuProblem2D, BRATU_1D_CRITICAL, BRATU_2D_CRITICAL
 from repro.pde.burgers1d import Burgers1DStencilSystem, stencil_width
 from repro.pde.burgers3d import Burgers3DSplitStepper
-from repro.pde.advection import AdvectionSolver1D
 
 __all__ = [
     "Grid2D",
@@ -75,5 +74,4 @@ __all__ = [
     "Burgers1DStencilSystem",
     "stencil_width",
     "Burgers3DSplitStepper",
-    "AdvectionSolver1D",
 ]

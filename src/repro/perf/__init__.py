@@ -23,7 +23,6 @@ from repro.perf.analog_model import AnalogTimingModel
 from repro.perf.cpu_model import CpuModel
 from repro.perf.gpu_model import GpuModel
 from repro.perf.profiles import KernelProfiler, ProfileReport
-from repro.perf.summary import SubstrateCost, solve_cost_summary
 
 __all__ = [
     "AnalogTimingModel",
@@ -31,6 +30,4 @@ __all__ = [
     "GpuModel",
     "KernelProfiler",
     "ProfileReport",
-    "SubstrateCost",
-    "solve_cost_summary",
 ]

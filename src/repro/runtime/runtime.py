@@ -80,6 +80,9 @@ __all__ = ["AttemptReport", "BatchResult", "Runtime"]
 # the in-worker check should always win unless the attempt is wedged.
 _DEADLINE_GRACE_FACTOR = 1.5
 _DEADLINE_GRACE_FLOOR = 0.5
+# How long the pooled supervisor waits on in-flight attempts before it
+# re-checks shutdown, admission and the watchdog.
+_POLL_INTERVAL_S = 0.02
 
 
 @dataclass
@@ -462,7 +465,6 @@ class Runtime:
         seed: int = 0,
         faults: Optional[FaultInjector] = None,
         ladder_kwargs: Optional[Dict[str, Any]] = None,
-        poll_interval: float = 0.02,
         degradation: Optional[DegradationModel] = None,
         journal: Optional[Any] = None,
         crash_after_outcomes: Optional[int] = None,
@@ -480,7 +482,6 @@ class Runtime:
         self.seed = int(seed)
         self.faults = faults
         self.ladder_kwargs = ladder_kwargs
-        self.poll_interval = float(poll_interval)
         self.degradation = degradation
         self.journal = journal
         self.crash_after_outcomes = crash_after_outcomes
@@ -901,27 +902,13 @@ class Runtime:
         """
         from dataclasses import replace
 
-        attempt = state.attempts_started
-        state.attempts_started += 1
-        self._journal_attempt(state.request.request_id, attempt)
-        assignment = self._route_attempt(state, attempt, tracer)
-        escalated_request = replace(state.request, rungs=("damped_newton",))
-        try:
-            report = _execute_attempt(
-                escalated_request,
-                attempt,
-                self.seed,
-                self.faults,
-                getattr(tracer, "active", False),
-                allow_process_exit=False,
-                ladder_kwargs=self.ladder_kwargs,
-                degradation=self.degradation,
-                board=assignment,
-            )
-        except InjectedWorkerCrash:
-            report = AttemptReport(
-                request_id=state.request.request_id, attempt=attempt, status="crashed"
-            )
+        attempt, assignment = self._start_attempt(state, tracer)
+        report = self._run_in_process(
+            replace(state.request, rungs=("damped_newton",)),
+            attempt,
+            getattr(tracer, "active", False),
+            assignment,
+        )
         return self._process_report(state, report, tracer, bump)
 
     def _commit(self, state: _RequestState, report: AttemptReport, record) -> SolveOutcome:
@@ -965,12 +952,44 @@ class Runtime:
             os._exit(9)  # chaos seam: SIGKILL right after a commit
         return outcome
 
-    # -- durability hooks ----------------------------------------------
+    # -- attempt start, in-process execution, durability ---------------
 
-    def _journal_attempt(self, request_id: str, attempt: int) -> None:
-        """Write-ahead: record the attempt before any work happens."""
+    def _start_attempt(
+        self, state: _RequestState, tracer: TracerLike
+    ) -> Tuple[int, Optional[BoardAssignment]]:
+        """Open the request's next attempt: count it, journal it
+        (write-ahead, before any work happens), then route it."""
+        attempt = state.attempts_started
+        state.attempts_started += 1
         if self.journal is not None:
-            self.journal.attempt_started(request_id, attempt)
+            self.journal.attempt_started(state.request.request_id, attempt)
+        return attempt, self._route_attempt(state, attempt, tracer)
+
+    def _run_in_process(
+        self,
+        request: SolveRequest,
+        attempt: int,
+        traced: bool,
+        board: Optional[BoardAssignment],
+    ) -> AttemptReport:
+        """Run one attempt in this process; an injected worker crash
+        becomes a ``crashed`` report instead of escaping."""
+        try:
+            return _execute_attempt(
+                request,
+                attempt,
+                self.seed,
+                self.faults,
+                traced,
+                allow_process_exit=False,
+                ladder_kwargs=self.ladder_kwargs,
+                degradation=self.degradation,
+                board=board,
+            )
+        except InjectedWorkerCrash:
+            return AttemptReport(
+                request_id=request.request_id, attempt=attempt, status="crashed"
+            )
 
     def _verify_replayed(self, request: SolveRequest, outcome: SolveOutcome) -> None:
         """Re-verify one journal-replayed outcome instead of trusting it.
@@ -1023,26 +1042,10 @@ class Runtime:
             state = _RequestState(request)
             while True:
                 self._check_shutdown(shutdown)
-                attempt = state.attempts_started
-                state.attempts_started += 1
-                self._journal_attempt(request.request_id, attempt)
-                assignment = self._route_attempt(state, attempt, tracer)
-                try:
-                    report = _execute_attempt(
-                        request,
-                        attempt,
-                        self.seed,
-                        self.faults,
-                        getattr(tracer, "active", False),
-                        allow_process_exit=False,
-                        ladder_kwargs=self.ladder_kwargs,
-                        degradation=self.degradation,
-                        board=assignment,
-                    )
-                except InjectedWorkerCrash:
-                    report = AttemptReport(
-                        request_id=request.request_id, attempt=attempt, status="crashed"
-                    )
+                attempt, assignment = self._start_attempt(state, tracer)
+                report = self._run_in_process(
+                    request, attempt, getattr(tracer, "active", False), assignment
+                )
                 outcome, delay = self._process_report(state, report, tracer, bump)
                 if outcome is not None:
                     outcomes[request.request_id] = outcome
@@ -1152,25 +1155,6 @@ class Runtime:
                     AttemptReport(request_id=request_id, attempt=attempt, status="crashed"),
                 )
 
-        def run_in_process(state: _RequestState, attempt: int) -> None:
-            try:
-                report = _execute_attempt(
-                    state.request,
-                    attempt,
-                    self.seed,
-                    self.faults,
-                    traced,
-                    allow_process_exit=False,
-                    ladder_kwargs=self.ladder_kwargs,
-                    degradation=self.degradation,
-                    board=state.assignments.get(attempt),
-                )
-            except InjectedWorkerCrash:
-                report = AttemptReport(
-                    request_id=state.request.request_id, attempt=attempt, status="crashed"
-                )
-            handle(state, report)
-
         while pending or in_flight:
             self._check_shutdown(shutdown)
             now = time.monotonic()
@@ -1181,12 +1165,9 @@ class Runtime:
                     still_waiting.append((request_id, ready_at))
                     continue
                 state = states[request_id]
-                attempt = state.attempts_started
-                state.attempts_started += 1
-                self._journal_attempt(request_id, attempt)
-                assignment = self._route_attempt(state, attempt, tracer)
+                attempt, assignment = self._start_attempt(state, tracer)
                 if not pooled:
-                    run_in_process(state, attempt)
+                    handle(state, self._run_in_process(state.request, attempt, traced, assignment))
                     continue
                 try:
                     future = executor.submit(
@@ -1223,7 +1204,7 @@ class Runtime:
 
             done, _ = concurrent.futures.wait(
                 list(in_flight),
-                timeout=self.poll_interval,
+                timeout=_POLL_INTERVAL_S,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             crashed: List[Tuple[str, int]] = []

@@ -156,6 +156,22 @@ class TestTrajectoryRecording:
             result.trajectory.final_state, result.scaled_solution, atol=0.05
         )
 
+    def test_traced_settle_counts_steps_without_replayed_spans(self):
+        from repro.trace.tracer import Tracer
+
+        tracer = Tracer()
+        result = AnalogAccelerator(seed=0).solve(
+            CoupledQuadraticSystem(1.0, 1.0),
+            initial_guess=np.array([1.0, 1.0]),
+            record_trajectory=True,
+            tracer=tracer,
+        )
+        accepted = len(result.trajectory.ts) - 1
+        assert accepted > 0
+        assert tracer.counters["ode_steps"] == accepted
+        assert len(tracer.spans_named("analog_settle")) == 1
+        assert tracer.spans_named("ode_step") == []
+
     def test_trajectory_absent_by_default(self):
         from repro.nonlinear.systems import CoupledQuadraticSystem
 

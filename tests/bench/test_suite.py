@@ -37,11 +37,9 @@ class TestRunBenchSuite:
     def test_measurements_are_populated(self, kernel_report):
         bench = kernel_report.benchmarks["kernel_micro"]
         assert bench.wall_seconds > 0
-        # The three hot loops each leave their span behind, counted.
-        for span in ("stencil_assembly", "csr_matvec", "linear_solve"):
-            assert bench.span_seconds[span] > 0, span
-        assert bench.span_counts["linear_solve"] == bench.params["solves"]
-        assert bench.span_counts["stencil_assembly"] == bench.params["assemblies"]
+        # Each kernel solve leaves its span behind, counted.
+        assert bench.span_seconds["linear_solve"] > 0
+        assert bench.span_counts == {"linear_solve": bench.params["solves"]}
         # One kernel, one sparsity pattern: the factorization is built
         # once and every solve is charged to the lifetime stats.
         assert bench.work["linear_solves"] == bench.params["solves"]
@@ -113,7 +111,6 @@ class TestBenchCli:
                 "--no-out",
                 "--compare",
                 str(baseline),
-                "--work-only",
             ]
         )
         assert code == 0
@@ -133,7 +130,6 @@ class TestBenchCli:
                 "--no-out",
                 "--compare",
                 str(baseline),
-                "--work-only",
             ]
         )
         assert code == 1
@@ -192,7 +188,7 @@ class TestRegressionScript:
 
     def test_identical_reports_pass(self, kernel_report, tmp_path):
         path = kernel_report.save(tmp_path / "BENCH_1.json")
-        proc = self.run_script(path, path, "--work-only")
+        proc = self.run_script(path, path)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert "gate: OK" in proc.stdout
 
@@ -201,7 +197,6 @@ class TestRegressionScript:
         proc = self.run_script(
             path,
             path,
-            "--work-only",
             "--inject-slowdown",
             "kernel_micro:work.inner_iterations:1.3",
         )

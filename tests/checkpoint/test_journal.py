@@ -176,6 +176,18 @@ class TestCrashedBatchResume:
         assert rebuilt.faults.seed == original.faults.seed
         assert rebuilt.degradation.offset_drift_sigma == 0.05
 
+    def test_config_with_retired_poll_interval_still_rebuilds(self):
+        # Journals written before the pooled poll became a module
+        # constant carry a "poll_interval" key; resume must ignore it.
+        from repro.checkpoint.journal import runtime_config_record, runtime_from_config
+
+        config = runtime_config_record(_runtime())
+        assert "poll_interval" not in config
+        rebuilt = runtime_from_config({**config, "poll_interval": 0.5})
+        assert isinstance(rebuilt, Runtime)
+        assert rebuilt.seed == 11
+        assert rebuilt.retry == _runtime().retry
+
     def test_degradation_health_rides_the_journal(self, tmp_path):
         """Board aging (drift walks, step counts) must continue from
         where the crashed run left off, not restart from a fresh board."""

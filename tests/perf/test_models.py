@@ -216,40 +216,3 @@ class TestKernelProfiler:
             pass
         with pytest.raises(ValueError):
             profiler.report().dominant_kernel()
-
-
-class TestSolveCostSummary:
-    def _make_inputs(self):
-        import numpy as np
-
-        from repro.analog.engine import AnalogAccelerator
-        from repro.core.hybrid import HybridSolver
-        from repro.pde.burgers import random_burgers_system
-
-        system, guess = random_burgers_system(3, 1.0, np.random.default_rng(0))
-        solver = HybridSolver(AnalogAccelerator(seed=0))
-        baseline = solver.solve_baseline(system, initial_guess=guess)
-        hybrid = solver.solve(system, initial_guess=guess)
-        jacobian = system.jacobian(guess)
-        return baseline, hybrid, system.dimension, jacobian
-
-    def test_three_rows_with_positive_costs(self):
-        from repro.perf.summary import solve_cost_summary
-
-        baseline, hybrid, dim, jacobian = self._make_inputs()
-        rows = solve_cost_summary(baseline, hybrid, dim, jacobian)
-        assert len(rows) == 3
-        for row in rows:
-            assert row.seconds > 0.0
-            assert row.joules > 0.0
-            assert row.as_row()["substrate"] == row.substrate
-
-    def test_hybrid_cheapest_in_energy(self):
-        from repro.perf.summary import solve_cost_summary
-
-        baseline, hybrid, dim, jacobian = self._make_inputs()
-        rows = {row.substrate: row for row in solve_cost_summary(baseline, hybrid, dim, jacobian)}
-        assert (
-            rows["hybrid analog + CPU polish"].joules
-            <= rows["GPU QR-offload Newton"].joules
-        )

@@ -5,8 +5,8 @@ import pytest
 
 from repro.analog import AnalogAccelerator, NoiseModel, solution_error
 from repro.core import HybridSolver, RedBlackGaussSeidel
-from repro.linalg import MultigridPoisson
 from repro.nonlinear import (
+    CallableSystem,
     NewtonOptions,
     SimpleSquareSystem,
     damped_newton_with_restarts,
@@ -78,51 +78,33 @@ class TestDecomposedHybridPipeline:
         assert polished.iterations <= 10
 
 
-class TestMultigridWithAnalogCoarseSolver:
-    """The prior-work partitioning (Table 5 row 2): multigrid with an
-    analog kernel on the coarse residual equation."""
+class TestAnalogOnJacobianFreeSystem:
+    """The accelerator on a residual-only system: a ``CallableSystem``
+    with no Jacobian falls back to a finite-difference Jacobian."""
 
-    def test_analog_coarse_solver_still_converges(self):
-        n = 15
-        spacing = 1.0 / (n + 1)
-        # Coarsest grid is 3x3 = 9 unknowns: an accelerator-sized solve.
-        accelerator = AnalogAccelerator(seed=5, noise=NoiseModel(residual_offset_sigma=0.005))
-
-        def analog_coarse(f):
-            from repro.nonlinear.systems import CallableSystem
-
-            flat_f = np.asarray(f, dtype=float).ravel()
-            coarse_n = int(np.sqrt(flat_f.size))
-            h = spacing * (n + 1) / (coarse_n + 1)
-
-            system = CallableSystem(
-                flat_f.size,
-                residual=lambda x: MultigridPoisson.apply_operator(
-                    x.reshape(coarse_n, coarse_n), h
-                ).ravel()
-                - flat_f,
-                jacobian=None,
-            )
-            result = accelerator.solve(
-                system,
-                initial_guess=np.zeros(flat_f.size),
-                value_bound=max(1.0, float(np.abs(flat_f).max())),
-            )
-            return result.solution
-
-        mg = MultigridPoisson(n, spacing=spacing, coarsest=3, coarse_solver=analog_coarse)
-        xs = (np.arange(n) + 1) * spacing
+    def test_poisson_residual_settles(self):
+        n = 3
+        grid = Grid2D.square(n, spacing=1.0 / (n + 1))
+        xs = (np.arange(n) + 1) * grid.dx
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        exact = np.sin(np.pi * gx) * np.sin(np.pi * gy)
-        forcing = 2.0 * np.pi**2 * exact
-        result = mg.solve(forcing, tol=1e-6, max_cycles=8)
-        # The analog coarse kernel's error floor prevents convergence to
-        # the digital tolerance (the prior work's documented trade) but
-        # the cycles still reduce the residual by orders of magnitude
-        # and deliver an engineering-accurate solution.
-        history = result.residual_history
-        assert min(history) < 1e-2 * history[0]
-        assert np.max(np.abs(result.solution - exact)) < 5e-3
+        forcing = 2.0 * np.pi**2 * np.sin(np.pi * gx) * np.sin(np.pi * gy)
+        problem = PoissonProblem(grid, forcing)
+        matrix, rhs = problem.matrix(), problem.rhs()
+        system = CallableSystem(
+            rhs.size, residual=lambda x: matrix.matvec(x) - rhs, jacobian=None
+        )
+        accelerator = AnalogAccelerator(seed=5, noise=NoiseModel(residual_offset_sigma=0.005))
+        result = accelerator.solve(
+            system,
+            initial_guess=np.zeros(rhs.size),
+            value_bound=max(1.0, float(np.abs(rhs).max())),
+        )
+        dense = np.linalg.solve(matrix.to_dense(), rhs)
+        assert result.converged
+        # Equation-6 error in the analog range: within the paper's band
+        # even though the physical error is amplified by the scale.
+        assert solution_error(result.scaled_solution, dense / result.scale) < 0.02
+        assert np.linalg.norm(result.solution - dense) < 0.5 * np.linalg.norm(dense)
 
 
 class TestHomotopyOnPde:
@@ -154,9 +136,9 @@ class TestAnalogAgainstGolden:
 
 
 class TestLinearStackConsistency:
-    """Poisson solved three ways must agree."""
+    """Poisson solved two ways must agree."""
 
-    def test_cg_multigrid_and_dense_agree(self):
+    def test_cg_and_dense_agree(self):
         n = 15
         spacing = 1.0 / (n + 1)
         grid = Grid2D.square(n, spacing=spacing)
@@ -165,8 +147,5 @@ class TestLinearStackConsistency:
         problem = PoissonProblem(grid, forcing)
         cg = problem.solve(tol=1e-11)
         assert cg.converged
-        mg = MultigridPoisson(n, spacing=spacing).solve(forcing, tol=1e-11)
-        assert mg.converged
         dense = np.linalg.solve(problem.matrix().to_dense(), problem.rhs())
         np.testing.assert_allclose(cg.x, dense, atol=1e-7)
-        np.testing.assert_allclose(grid.flatten(mg.solution), dense, atol=1e-7)
