@@ -103,9 +103,7 @@ class CompiledProblem:
             tile.release()
 
 
-def compile_system(
-    fabric: Fabric, system: NonlinearSystem, owner: str = "problem"
-) -> CompiledProblem:
+def compile_system(fabric: Fabric, system: NonlinearSystem) -> CompiledProblem:
     """Map a generic nonlinear system: one variable per tile.
 
     Raises :class:`~repro.analog.fabric.FabricCapacityError` when the
@@ -114,7 +112,7 @@ def compile_system(
     """
     if not fabric.calibrated:
         fabric.calibrate()
-    tiles = fabric.allocate_tiles(system.dimension, owner)
+    tiles = fabric.allocate_tiles(system.dimension, "problem")
     resources = ResourceCount()
     for tile in tiles:
         tile.claim_ports(
@@ -138,9 +136,7 @@ def compile_system(
     )
 
 
-def compile_burgers(
-    fabric: Fabric, system: BurgersStencilSystem, owner: str = "burgers"
-) -> CompiledProblem:
+def compile_burgers(fabric: Fabric, system: BurgersStencilSystem) -> CompiledProblem:
     """Map a Burgers stencil: u-field tiles on one chip group, v-field
     tiles on another, with sparse neighbour-to-neighbour routing.
 
@@ -153,7 +149,7 @@ def compile_burgers(
         fabric.calibrate()
     grid = system.grid
     n = grid.num_nodes
-    tiles = fabric.allocate_tiles(system.dimension, owner)
+    tiles = fabric.allocate_tiles(system.dimension, "burgers")
     resources = ResourceCount()
     for tile in tiles:
         tile.claim_ports(

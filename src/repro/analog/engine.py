@@ -45,7 +45,7 @@ from repro.analog.noise import NoiseModel
 from repro.analog.scaling import ScaledSystem, required_scale
 from repro.linalg.sparse import CsrMatrix
 from repro.nonlinear.continuous_newton import continuous_newton_solve
-from repro.nonlinear.homotopy import davidenko_solve
+from repro.nonlinear.newton import make_sparse_linear_solver
 from repro.nonlinear.systems import NonlinearSystem
 from repro.pde.burgers import BurgersStencilSystem
 from repro.trace.tracer import TracerLike, as_tracer
@@ -134,11 +134,7 @@ class AnalogSolveResult:
 
     ``settle_time_units`` is in the continuous Newton flow's natural
     time; :class:`repro.perf.analog_model.AnalogTimingModel` converts it
-    to seconds using the chip's time constant. ``dac_writes`` and
-    ``adc_reads`` account the digital-analog data transmission of the
-    run — per Section 5.1, "only new problem parameters and results
-    need to be transmitted between analog accelerator runs", the same
-    interface cost shape as a GPU offload.
+    to seconds using the chip's time constant.
     """
 
     solution: np.ndarray
@@ -147,12 +143,6 @@ class AnalogSolveResult:
     scale: float
     scaled_solution: np.ndarray
     residual_norm: float
-    dac_writes: int = 0
-    adc_reads: int = 0
-    reconfigured: bool = True
-    """False when the run reused the previous configuration (same
-    stencil connectivity, new constants) — the steady-state case of a
-    solver issuing many instances of the same kind of problem."""
     trajectory: Optional[object] = None
     """When trajectory recording is requested: the
     :class:`repro.ode.solution.OdeSolution` of the scaled state during
@@ -360,105 +350,112 @@ class AnalogAccelerator:
         ``value_bound`` is the expected magnitude of problem values,
         used for dynamic-range scaling (the paper scales the +-3.0
         constants of its random problems into the analog range).
-        ``tracer`` records one ``analog_settle`` span per run and counts
-        the settled trajectory's accepted integrator steps in the
-        ``ode_steps`` counter.
+        ``tracer`` records one ``analog_settle`` span per run, whose
+        ``settle_outcome`` is ``"settled"``, ``"stalled"`` (the flow
+        stopped advancing; see :func:`continuous_newton_solve`) or
+        ``"unsettled"`` (time limit or step budget spent), and counts
+        the trajectory's accepted integrator steps in the ``ode_steps``
+        counter.
         """
+        tracer = as_tracer(tracer)
         fabric = self._fabric_for(system.dimension)
         if isinstance(system, BurgersStencilSystem):
             compiled = compile_burgers(fabric, system)
         else:
             compiled = compile_system(fabric, system)
         try:
-            return self._execute(
-                compiled,
-                initial_guess,
-                value_bound,
-                time_limit,
-                derivative_tolerance,
-                record_trajectory=record_trajectory,
-                tracer=tracer,
-                settle_max_steps=settle_max_steps,
-            )
-        finally:
-            fabric.exec_stop()
-            compiled.release()
-
-    def solve_with_homotopy(
-        self,
-        simple: NonlinearSystem,
-        hard: NonlinearSystem,
-        start_root: np.ndarray,
-        value_bound: float = 3.0,
-        tracer: Optional[TracerLike] = None,
-    ) -> AnalogSolveResult:
-        """Run homotopy continuation on the hardware model (Section 3.2).
-
-        "We can instead solve this ODE on our analog accelerator
-        prototype chip" — the lambda ramp is a swept DAC input and the
-        Davidenko + corrector dynamics run on the same distorted
-        fabric as continuous Newton. Both the simple and hard systems
-        are computed by the *same* allocated tiles, so they share one
-        set of datapath errors, exactly as on silicon.
-        """
-        if simple.dimension != hard.dimension:
-            raise ValueError("simple and hard systems must share a dimension")
-        tracer = as_tracer(tracer)
-        fabric = self._fabric_for(hard.dimension)
-        compiled = compile_system(fabric, hard, owner="homotopy")
-        try:
             scale = required_scale(value_bound, self.noise)
-            start_root = np.asarray(start_root, dtype=float)
-            w0 = self.noise.dac_write(start_root / scale)
-            # As in _execute: age the board first, then read the errors
-            # the run is actually distorted by.
-            compiled.fabric.exec_start()
-            eq_gains = compiled.equation_gain_errors()
-            state_gains = compiled.state_gain_errors()
-            offsets = compiled.equation_offsets()
-            distorted_simple = DistortedSystem(
-                ScaledSystem(simple, scale), eq_gains, state_gains, offsets
+            scaled = ScaledSystem(system, scale)
+            if initial_guess is None:
+                guess_physical = np.zeros(system.dimension)
+                w0 = np.zeros(system.dimension)
+            else:
+                guess_physical = np.asarray(initial_guess, dtype=float)
+                w0 = scaled.to_scaled(guess_physical)
+            # Initial conditions are programmed through DACs.
+            w0 = self.noise.dac_write(w0)
+
+            # exec_start *before* reading the datapath errors: each start
+            # ages the board one degradation step, and the run must see
+            # the errors as they stand when the integrators are released.
+            fabric.exec_start()
+            distorted = DistortedSystem(
+                scaled,
+                equation_gains=compiled.equation_gain_errors(),
+                state_gains=compiled.state_gain_errors(),
+                offsets=compiled.equation_offsets(),
             )
-            distorted_hard = DistortedSystem(
-                ScaledSystem(hard, scale), eq_gains, state_gains, offsets
-            )
-            flow = davidenko_solve(
-                distorted_simple,
-                distorted_hard,
-                w0,
-                rtol=1e-6,
-                atol=1e-9,
-                polish=False,
-                residual_tolerance=1e-1,
-            )
+            # Bounded inner kernel: the flow's direction only needs to be
+            # accurate to the integrator's tolerance, and runaway Krylov
+            # fallbacks near singular Jacobians would dominate simulation
+            # wall-clock without changing the settled state.
+            flow_solver = make_sparse_linear_solver(tol=1e-8, max_iterations=300)
+            # Convergence is judged relative to the starting residual: at
+            # extreme Reynolds numbers the scaled operator's magnitude
+            # (the 1/Re viscous coefficients) inflates absolute residuals
+            # without the settled *solution* being any worse.
+            initial_residual = float(np.linalg.norm(distorted.residual(w0)))
+            with tracer.span("analog_settle", dimension=system.dimension) as settle_span:
+                flow = continuous_newton_solve(
+                    distorted,
+                    w0,
+                    time_limit=time_limit,
+                    fidelity="behavioral",
+                    derivative_tolerance=derivative_tolerance,
+                    dwell=0.05,
+                    rtol=1e-6,
+                    atol=1e-9,
+                    linear_solver=flow_solver,
+                    residual_tolerance=max(1e-2, 1e-3 * initial_residual),
+                    max_steps=settle_max_steps,
+                )
+                if flow.solution.settled:
+                    outcome = "settled"
+                else:
+                    outcome = "stalled" if flow.stalled else "unsettled"
+                settle_span.update(
+                    converged=flow.converged,
+                    settle_outcome=outcome,
+                    settle_time_units=flow.settle_time,
+                    residual_norm=flow.residual_norm,
+                    rhs_evaluations=flow.solution.rhs_evaluations,
+                )
+                if tracer.active:
+                    # Accepted integrator steps are a count: a span per
+                    # step, emitted after the settle, would carry no
+                    # real timing.
+                    tracer.counter("ode_steps", max(len(flow.solution.ts) - 1, 0))
+            # ADC readout: thermal noise averaged over repeats, then
+            # quantization (bias not removed by averaging).
             thermal = (
                 self.noise.thermal_noise_sigma
                 / np.sqrt(self.adc_repeats)
                 * self._run_rng.standard_normal(flow.u.shape)
             )
-            measured = self.noise.adc_read(flow.u + thermal)
-            solution = scale * measured
-            residual_vector = np.asarray(hard.residual(solution), dtype=float)
+            measured_w = self.noise.adc_read(flow.u + thermal)
+            solution = scaled.to_physical(measured_w)
+            residual_vector = np.asarray(system.residual(solution), dtype=float)
             residual_norm = float(np.linalg.norm(residual_vector))
             quality, saturated_fraction = self._observe_health(
                 compiled,
                 solution,
                 residual_vector,
                 residual_norm,
-                reference_norm=hard.residual_norm(start_root),
-                settle_time_units=1.0,
+                reference_norm=system.residual_norm(guess_physical),
+                settle_time_units=flow.settle_time,
                 converged=flow.converged,
-                measured_w=measured,
+                measured_w=measured_w,
                 scale=scale,
                 tracer=tracer,
             )
             return self._apply_fault_hook(AnalogSolveResult(
                 solution=solution,
                 converged=flow.converged,
-                settle_time_units=1.0,  # the lambda ramp spans one unit
+                settle_time_units=flow.settle_time,
                 scale=scale,
-                scaled_solution=measured,
+                scaled_solution=measured_w,
                 residual_norm=residual_norm,
+                trajectory=flow.solution if record_trajectory else None,
                 seed_quality=quality,
                 seed_accepted=quality.accepted,
                 saturated_fraction=saturated_fraction,
@@ -466,176 +463,3 @@ class AnalogAccelerator:
         finally:
             fabric.exec_stop()
             compiled.release()
-
-    def solve_batch(
-        self,
-        systems,
-        initial_guesses=None,
-        value_bound: float = 3.0,
-        time_limit: float = 60.0,
-        derivative_tolerance: float = 1e-5,
-        tracer: Optional[TracerLike] = None,
-        settle_max_steps: int = 1_000_000,
-    ):
-        """Solve a sequence of same-shaped problems on one configuration.
-
-        "The configuration of the analog accelerator remains the same
-        when solving for different instances of the same kind of PDE.
-        ... Only new problem parameters and results need to be
-        transmitted between analog accelerator runs." (Section 5.1)
-
-        The fabric is compiled once; each subsequent run reprograms only
-        DAC constants and initial conditions (``reconfigured = False``
-        on the returned results after the first), and the per-run
-        transfer accounting shows the steady-state interface cost.
-        """
-        systems = list(systems)
-        if not systems:
-            raise ValueError("systems must be nonempty")
-        dimension = systems[0].dimension
-        if any(s.dimension != dimension for s in systems):
-            raise ValueError("all systems in a batch must share a dimension")
-        if initial_guesses is None:
-            initial_guesses = [None] * len(systems)
-        if len(initial_guesses) != len(systems):
-            raise ValueError("one initial guess per system (or None)")
-        fabric = self._fabric_for(dimension)
-        if isinstance(systems[0], BurgersStencilSystem):
-            compiled = compile_burgers(fabric, systems[0])
-        else:
-            compiled = compile_system(fabric, systems[0])
-        results = []
-        try:
-            for index, (system, guess) in enumerate(zip(systems, initial_guesses)):
-                result = self._execute(
-                    compiled,
-                    guess,
-                    value_bound,
-                    time_limit,
-                    derivative_tolerance,
-                    system=system,
-                    tracer=tracer,
-                    settle_max_steps=settle_max_steps,
-                )
-                result.reconfigured = index == 0
-                results.append(result)
-                fabric.exec_stop()
-        finally:
-            fabric.exec_stop()
-            compiled.release()
-        return results
-
-    def _execute(
-        self,
-        compiled: CompiledProblem,
-        initial_guess: Optional[np.ndarray],
-        value_bound: float,
-        time_limit: float,
-        derivative_tolerance: float,
-        system: Optional[NonlinearSystem] = None,
-        record_trajectory: bool = False,
-        tracer: Optional[TracerLike] = None,
-        settle_max_steps: int = 1_000_000,
-    ) -> AnalogSolveResult:
-        tracer = as_tracer(tracer)
-        system = compiled.system if system is None else system
-        scale = required_scale(value_bound, self.noise)
-        scaled = ScaledSystem(system, scale)
-        if initial_guess is None:
-            guess_physical = np.zeros(system.dimension)
-            w0 = np.zeros(system.dimension)
-        else:
-            guess_physical = np.asarray(initial_guess, dtype=float)
-            w0 = scaled.to_scaled(guess_physical)
-        # Initial conditions are programmed through DACs.
-        w0 = self.noise.dac_write(w0)
-
-        # exec_start *before* reading the datapath errors: each start
-        # ages the board one degradation step, and the run must see the
-        # errors as they stand when the integrators are released.
-        compiled.fabric.exec_start()
-        distorted = DistortedSystem(
-            scaled,
-            equation_gains=compiled.equation_gain_errors(),
-            state_gains=compiled.state_gain_errors(),
-            offsets=compiled.equation_offsets(),
-        )
-        # Bounded inner kernel: the flow's direction only needs to be
-        # accurate to the integrator's tolerance, and runaway Krylov
-        # fallbacks near singular Jacobians would dominate simulation
-        # wall-clock without changing the settled state.
-        from repro.nonlinear.newton import make_sparse_linear_solver
-
-        flow_solver = make_sparse_linear_solver(tol=1e-8, max_iterations=300)
-        # Convergence is judged relative to the starting residual: at
-        # extreme Reynolds numbers the scaled operator's magnitude (the
-        # 1/Re viscous coefficients) inflates absolute residuals without
-        # the settled *solution* being any worse.
-        initial_residual = float(np.linalg.norm(distorted.residual(w0)))
-        with tracer.span("analog_settle", dimension=system.dimension) as settle_span:
-            flow = continuous_newton_solve(
-                distorted,
-                w0,
-                time_limit=time_limit,
-                fidelity="behavioral",
-                derivative_tolerance=derivative_tolerance,
-                dwell=0.05,
-                rtol=1e-6,
-                atol=1e-9,
-                linear_solver=flow_solver,
-                residual_tolerance=max(1e-2, 1e-3 * initial_residual),
-                max_steps=settle_max_steps,
-            )
-            settle_span.update(
-                converged=flow.converged,
-                settle_time_units=flow.settle_time,
-                residual_norm=flow.residual_norm,
-                rhs_evaluations=flow.solution.rhs_evaluations,
-            )
-            if tracer.active:
-                # Accepted integrator steps are a count: a span per step,
-                # emitted after the settle, would carry no real timing.
-                tracer.counter("ode_steps", max(len(flow.solution.ts) - 1, 0))
-        # ADC readout: thermal noise averaged over repeats, then
-        # quantization (bias not removed by averaging).
-        settled_w = flow.u
-        thermal = (
-            self.noise.thermal_noise_sigma
-            / np.sqrt(self.adc_repeats)
-            * self._run_rng.standard_normal(settled_w.shape)
-        )
-        measured_w = self.noise.adc_read(settled_w + thermal)
-        solution = scaled.to_physical(measured_w)
-        residual_vector = np.asarray(system.residual(solution), dtype=float)
-        residual_norm = float(np.linalg.norm(residual_vector))
-        quality, saturated_fraction = self._observe_health(
-            compiled,
-            solution,
-            residual_vector,
-            residual_norm,
-            reference_norm=system.residual_norm(guess_physical),
-            settle_time_units=flow.settle_time,
-            converged=flow.converged,
-            measured_w=measured_w,
-            scale=scale,
-            tracer=tracer,
-        )
-        n = system.dimension
-        resources = compiled.resources
-        return self._apply_fault_hook(AnalogSolveResult(
-            solution=solution,
-            converged=flow.converged,
-            settle_time_units=flow.settle_time,
-            scale=scale,
-            scaled_solution=measured_w,
-            residual_norm=residual_norm,
-            # Transfers per run: initial conditions plus the Table 3
-            # per-variable constant DACs in; one averaged ADC sample
-            # stream per variable out.
-            dac_writes=n + n * resources.per_variable_total("DAC"),
-            adc_reads=n * self.adc_repeats,
-            trajectory=flow.solution if record_trajectory else None,
-            seed_quality=quality,
-            seed_accepted=quality.accepted,
-            saturated_fraction=saturated_fraction,
-        ))

@@ -313,12 +313,3 @@ class Fabric:
     def exec_stop(self) -> None:
         """Halt integrators, restoring them for the next parameter set."""
         self.executing = False
-
-    def release_all(self) -> None:
-        if self.executing:
-            raise RuntimeError("exec_stop() before releasing hardware")
-        for chip in self.chips:
-            for tile in chip.tiles:
-                if not tile.is_free:
-                    tile.release()
-        self.connections.clear()

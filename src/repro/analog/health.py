@@ -182,9 +182,9 @@ class DegradationSchedule:
     by component name, the stuck-tile and dead-DAC sets, the step
     counter); the fabric's components carry their post-calibration
     baselines (``calibrated_gain_error`` / ``calibrated_offset``), so
-    applying the schedule is idempotent and works identically whether
-    the accelerator reuses one fabric (``solve_batch``) or builds a
-    fresh one per solve — same component names, same walks.
+    applying the schedule is idempotent and works identically on the
+    fresh fabric the accelerator builds per solve — same component
+    names, same walks.
 
     Recalibration (:meth:`reset`) zeroes the drift walks — the trim
     DACs re-null what drifted — but stuck tiles and dead DACs are
@@ -201,12 +201,6 @@ class DegradationSchedule:
         self.dead_dacs = set(model.dead_dacs)
         self.resets = 0
 
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def state_dict(self) -> Dict[str, Any]:
         """JSON-able snapshot of the mutable wear state (the model's
         parameters live in ``self.model`` and are serialized by the
@@ -221,18 +215,6 @@ class DegradationSchedule:
             "dead_dacs": sorted(self.dead_dacs),
             "resets": self.resets,
         }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Reinstall wear state captured by :meth:`state_dict` (the
-        checkpoint-resume path: a restored board has the same drift
-        walks, stuck tiles, dead DACs and step count as the original)."""
-        self.seed = int(state["seed"])
-        self.step = int(state["step"])
-        self.gain_drift = dict(state.get("gain_drift") or {})
-        self.offset_drift = dict(state.get("offset_drift") or {})
-        self.stuck_tiles = set(state.get("stuck_tiles") or ())
-        self.dead_dacs = set(state.get("dead_dacs") or ())
-        self.resets = int(state.get("resets", 0))
 
     def _draw(self, purpose: str, name: str) -> np.random.Generator:
         return np.random.default_rng(stable_seed(self.seed, purpose, self.step, name))
@@ -626,28 +608,6 @@ class HealthMonitor:
             "seeds_rejected": self.seeds_rejected,
             "tiles_quarantined": self.tiles_quarantined,
             "recalibrations": self.recalibrations,
-        }
-
-    def board_summary(self) -> Dict[str, Any]:
-        """Board-level rates, safe on a board that never settled.
-
-        Every rate is ``None`` when its denominator is zero — a board
-        with zero settled attempts (fresh, fully vetoed, or freshly
-        recalibrated) is idle, not broken, and must render as "-"
-        rather than divide by zero.
-        """
-        tiles = list(self.tiles.values())
-        observed = self.solves_observed
-        return {
-            "solves_observed": observed,
-            "settled_solves": self.settled_solves,
-            "settle_rate": (self.settled_solves / observed) if observed else None,
-            "rejection_rate": (self.seeds_rejected / observed) if observed else None,
-            "mean_residual_ewma": (
-                sum(tile.residual_ewma for tile in tiles) / len(tiles) if tiles else None
-            ),
-            "tiles_flagged": len(self.flagged()),
-            "tiles_quarantined": len(self.quarantined),
         }
 
     def report_rows(self) -> List[dict]:

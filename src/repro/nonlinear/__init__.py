@@ -42,9 +42,6 @@ from repro.nonlinear.homotopy import (
     HomotopyResult,
     HomotopySchedule,
     homotopy_solve,
-    homotopy_all_roots,
-    DavidenkoResult,
-    davidenko_solve,
 )
 from repro.nonlinear.flows import (
     EigenFlowResult,
@@ -79,9 +76,6 @@ __all__ = [
     "HomotopyResult",
     "HomotopySchedule",
     "homotopy_solve",
-    "homotopy_all_roots",
-    "DavidenkoResult",
-    "davidenko_solve",
     "BasinMap",
     "classify_roots",
     "newton_iteration_basins",

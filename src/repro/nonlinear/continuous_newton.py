@@ -31,7 +31,8 @@ The settle time of the flow is the analog accelerator's solution time;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.linalg.sparse import CsrMatrix
 from repro.nonlinear.newton import LinearSolver, default_linear_solver
 from repro.nonlinear.systems import NonlinearSystem
 from repro.ode.dormand_prince import integrate_rk45
-from repro.ode.events import SettleDetector, integrate_until_settled
+from repro.ode.events import SettleDetector
 from repro.ode.solution import OdeSolution
 
 __all__ = [
@@ -49,6 +50,11 @@ __all__ = [
     "continuous_newton_solve",
     "newton_flow_rhs",
 ]
+
+# Stall window of the behavioral settle: flow time must advance by at
+# least _STALL_ADVANCE over every _STALL_STEPS accepted steps.
+_STALL_ADVANCE = 0.05
+_STALL_STEPS = 10
 
 
 @dataclass
@@ -66,6 +72,8 @@ class ContinuousNewtonResult:
     residual_norm: float
     solution: OdeSolution
     fidelity: str
+    stalled: bool = False
+    """True when the stall window ended the run (behavioral only)."""
 
 
 def newton_flow_rhs(
@@ -154,6 +162,17 @@ def continuous_newton_solve(
         window is wall-clock bounded, so the simulation's must be too.
         Exhausting the budget reads out wherever the flow stands —
         an unsettled, unconverged run the seed gate then rejects.
+
+    A behavioral run also ends at a *stall*: when flow time advances by
+    less than ``_STALL_ADVANCE`` over the last ``_STALL_STEPS`` accepted
+    steps. The exact flow reaches a singular Jacobian in finite time,
+    where the simulator would shrink its steps without limit; the
+    hardware's quotient loop saturates instead and its settle window
+    ends. A stalled run reads out where it stands, unsettled and
+    unconverged, with ``stalled`` set. Ordinary grid-8 Burgers settles
+    advance at least 1.30 per 10 steps, 26x the threshold. The circuit
+    fidelity has no stall window: its fast quotient loop takes short
+    steps by design.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (system.dimension,):
@@ -161,41 +180,44 @@ def continuous_newton_solve(
     if fidelity not in ("behavioral", "circuit"):
         raise ValueError(f"unknown fidelity {fidelity!r}")
 
+    detector = SettleDetector(derivative_tolerance=derivative_tolerance, dwell=dwell)
+    n = system.dimension
+    stalled = False
     if fidelity == "behavioral":
         rhs = newton_flow_rhs(system, linear_solver)
         y0 = u0
-        solution = integrate_until_settled(
-            rhs,
-            y0,
-            time_limit=time_limit,
-            derivative_tolerance=derivative_tolerance,
-            dwell=dwell,
-            rtol=rtol,
-            atol=atol,
-            max_steps=max_steps,
-        )
+        recent = deque([0.0], maxlen=_STALL_STEPS + 1)
+
+        def callback(t: float, y: np.ndarray, dy_dt: np.ndarray) -> bool:
+            nonlocal stalled
+            if detector(t, y, dy_dt):
+                return True
+            recent.append(t)
+            stalled = len(recent) == recent.maxlen and t - recent[0] < _STALL_ADVANCE
+            return stalled
+
     else:
         rhs = _circuit_rhs(system, gain)
-        y0 = np.concatenate([u0, np.zeros(system.dimension)])
+        y0 = np.concatenate([u0, np.zeros(n)])
+
         # Settle on the slow (u) components only: the fast quotient loop
         # hovers at its noise floor amplified by the loop gain, which is
         # invisible at the integrator outputs the ADCs actually measure.
-        detector = SettleDetector(derivative_tolerance=derivative_tolerance, dwell=dwell)
-        n = system.dimension
-
-        def masked_detector(t: float, y: np.ndarray, dy_dt: np.ndarray) -> bool:
+        def callback(t: float, y: np.ndarray, dy_dt: np.ndarray) -> bool:
             return detector(t, y[:n], dy_dt[:n])
 
-        solution = integrate_rk45(
-            rhs,
-            0.0,
-            y0,
-            time_limit,
-            rtol=rtol,
-            atol=atol,
-            max_steps=max_steps,
-            step_callback=masked_detector,
-        )
+    solution = integrate_rk45(
+        rhs,
+        0.0,
+        y0,
+        time_limit,
+        rtol=rtol,
+        atol=atol,
+        max_steps=max_steps,
+        step_callback=callback,
+    )
+    if stalled:
+        solution = replace(solution, settled=False, settle_time=None)
     u_final = solution.final_state[: system.dimension]
     residual_norm = system.residual_norm(u_final)
     settle_time = solution.settle_time if solution.settle_time is not None else solution.final_time
@@ -206,4 +228,5 @@ def continuous_newton_solve(
         residual_norm=residual_norm,
         solution=solution,
         fidelity=fidelity,
+        stalled=stalled,
     )

@@ -10,8 +10,7 @@ and track each simple root from ``lambda = 0`` to ``lambda = 1``. The
 paper emphasizes that this tracking is "again an ODE in disguise" (the
 Davidenko equation), which is why an analog accelerator executes it
 naturally; digitally, we sweep lambda in small increments with a Newton
-corrector at each value — the classical predictor-corrector scheme —
-and also expose the pure-ODE path for the analog engine.
+corrector at each value — the classical predictor-corrector scheme.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ __all__ = [
     "NewtonHomotopySystem",
     "homotopy_solve",
     "newton_homotopy_solve",
-    "homotopy_all_roots",
-    "DavidenkoResult",
-    "davidenko_solve",
 ]
 
 
@@ -303,109 +299,3 @@ def homotopy_solve(
         corrector_iterations=total_corrector,
         jumps=jumps,
     )
-
-
-@dataclass
-class DavidenkoResult:
-    """One homotopy path tracked as a continuous ODE."""
-
-    u: np.ndarray
-    converged: bool
-    start_root: np.ndarray
-    residual_norm: float
-    rhs_evaluations: int
-
-
-def davidenko_solve(
-    simple: NonlinearSystem,
-    hard: NonlinearSystem,
-    start_root: np.ndarray,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    corrector_gain: float = 20.0,
-    residual_tolerance: float = 1e-6,
-    polish: bool = True,
-    max_steps: int = 20_000,
-) -> DavidenkoResult:
-    """Track a homotopy path by integrating the Davidenko ODE.
-
-    The paper stresses that "homotopy continuation is again an ODE in
-    disguise" (Section 3.2) — the form the analog accelerator executes
-    directly. Differentiating ``G(rho(lambda), lambda) = 0`` gives
-
-        d rho / d lambda = -J_G^{-1} (H(rho) - S(rho))
-
-    We integrate it from ``lambda = 0`` to ``1`` with a stabilizing
-    Newton-flow corrector term ``-gain * J_G^{-1} G`` added (Uri
-    Ascher's stabilized continuation; physically this is the continuous
-    Newton feedback loop running concurrently with the lambda ramp,
-    exactly the circuit of Figure 1 with a swept DAC input). An
-    optional terminal digital polish brings the endpoint to full
-    precision — the hybrid pattern again.
-    """
-    from repro.linalg.dense import SingularMatrixError, solve_dense
-    from repro.ode.dormand_prince import integrate_rk45
-
-    u0 = np.asarray(start_root, dtype=float)
-    if u0.shape != (simple.dimension,):
-        raise ValueError(f"start_root must have shape ({simple.dimension},)")
-    if corrector_gain < 0.0:
-        raise ValueError("corrector_gain must be nonnegative")
-    evaluations = 0
-
-    def rhs(lam: float, u: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-        lam = min(max(lam, 0.0), 1.0)
-        blended = BlendedSystem(simple, hard, lam)
-        jac = blended.jacobian(u)
-        drive = hard.residual(u) - simple.residual(u)
-        correction = blended.residual(u)
-        try:
-            step = solve_dense(jac, drive + corrector_gain * correction)
-        except SingularMatrixError:
-            # Fold: regularized least-squares direction, as the
-            # saturating physical circuit would produce.
-            gram = jac.T @ jac + 1e-8 * np.eye(jac.shape[1])
-            step = solve_dense(gram, jac.T @ (drive + corrector_gain * correction))
-        return -step
-
-    solution = integrate_rk45(rhs, 0.0, u0, 1.0, rtol=rtol, atol=atol, max_steps=max_steps)
-    u = solution.final_state
-    if polish:
-        result = newton_solve(hard, u, NewtonOptions(tolerance=1e-12, max_iterations=50))
-        if result.converged:
-            u = result.u
-    norm = hard.residual_norm(u)
-    return DavidenkoResult(
-        u=u,
-        converged=norm <= residual_tolerance,
-        start_root=u0,
-        residual_norm=norm,
-        rhs_evaluations=evaluations,
-    )
-
-
-def homotopy_all_roots(
-    simple: NonlinearSystem,
-    hard: NonlinearSystem,
-    start_roots: np.ndarray,
-    schedule: Optional[HomotopySchedule] = None,
-    dedup_tolerance: float = 1e-6,
-) -> np.ndarray:
-    """Track every simple root and return the distinct hard roots found.
-
-    This is the paper's root-exploration workflow: "By exploring the
-    roots of the simple system we explore the roots of the difficult
-    problem." Paths that fail to track are skipped; duplicates (two
-    paths landing on the same hard root, as in Figure 3 where four
-    starts map onto two roots) are merged.
-    """
-    found: List[np.ndarray] = []
-    for start in np.atleast_2d(np.asarray(start_roots, dtype=float)):
-        result = homotopy_solve(simple, hard, start, schedule)
-        if not result.converged:
-            continue
-        if all(np.linalg.norm(result.u - existing) > dedup_tolerance for existing in found):
-            found.append(result.u)
-    return np.array(found) if found else np.zeros((0, simple.dimension))

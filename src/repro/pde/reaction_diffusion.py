@@ -84,24 +84,3 @@ class ReactionDiffusion1D(NonlinearSystem):
             builder.add_many(idx[:-1], idx[:-1] + 1, np.full(n - 1, -coeff))
             builder.add_many(idx[1:], idx[1:] - 1, np.full(n - 1, -coeff))
         return builder.to_csr()
-
-    def with_forcing_for_solution(self, u_target: np.ndarray) -> "ReactionDiffusion1D":
-        """Manufactured-solution helper: returns a copy whose forcing
-        makes ``u_target`` an exact root (used by convergence tests)."""
-        u_target = np.asarray(u_target, dtype=float)
-        zero_forced = ReactionDiffusion1D(
-            num_nodes=self.dimension,
-            diffusion=self.diffusion,
-            forcing=None,
-            left=self.left,
-            right=self.right,
-            spacing=self.spacing,
-        )
-        return ReactionDiffusion1D(
-            num_nodes=self.dimension,
-            diffusion=self.diffusion,
-            forcing=zero_forced.residual(u_target),
-            left=self.left,
-            right=self.right,
-            spacing=self.spacing,
-        )

@@ -221,8 +221,9 @@ class SolveOutcome:
     health: Optional[Dict[str, Any]] = None
     """Final attempt's analog board state
     (:meth:`~repro.analog.health.DegradationSchedule.state_dict`) when a
-    degradation model was active; rides into the batch journal so a
-    resumed run restores identical board wear."""
+    degradation model was active. It rides into the batch journal as a
+    record only: each attempt builds a fresh schedule from its
+    per-attempt seed, so nothing restores it on resume."""
     certificate: Optional[Any] = None
     """The :class:`~repro.certify.SolveCertificate` that admitted this
     answer when the runtime ran with certification on (``None`` for

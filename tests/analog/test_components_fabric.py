@@ -136,15 +136,6 @@ class TestFabric:
         fabric.exec_stop()
         fabric.allocate_tiles(1, "p")
 
-    def test_release_all(self):
-        fabric = Fabric(num_chips=1)
-        fabric.calibrate()
-        fabric.allocate_tiles(4, "p")
-        fabric.connect("a", "b")
-        fabric.release_all()
-        assert len(fabric.free_tiles()) == 4
-        assert not fabric.connections
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Fabric(num_chips=0)

@@ -197,3 +197,68 @@ class TestTrajectoryRecording:
         start = system.residual_norm(result.scale * trajectory.ys[0])
         end = system.residual_norm(result.scale * trajectory.ys[-1])
         assert end < 1e-3 * start
+
+
+def _creep_probe(seed, tracer=None):
+    """Grid 8, Re 2.0: seeds 0 and 6 creep toward a singular Jacobian,
+    the other seeds settle normally."""
+    system, guess = random_burgers_system(8, 2.0, np.random.default_rng(seed))
+    return AnalogAccelerator(seed=seed).solve(
+        system,
+        initial_guess=guess,
+        record_trajectory=True,
+        tracer=tracer,
+        settle_max_steps=1000,
+    )
+
+
+class TestStall:
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_creeping_settle_stops_at_the_window(self, seed):
+        from repro.trace.tracer import Tracer
+
+        tracer = Tracer()
+        result = _creep_probe(seed, tracer)
+        assert len(result.trajectory.ts) - 1 <= 40
+        assert not result.trajectory.settled
+        assert result.trajectory.settle_time is None
+        assert not result.converged
+        (span,) = tracer.spans_named("analog_settle")
+        assert span.attrs["settle_outcome"] == "stalled"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_ordinary_settle_takes_the_same_steps(self, seed, monkeypatch):
+        import repro.nonlinear.continuous_newton as continuous_newton
+        from repro.trace.tracer import Tracer
+
+        tracer = Tracer()
+        windowed = _creep_probe(seed, tracer)
+        (span,) = tracer.spans_named("analog_settle")
+        assert span.attrs["settle_outcome"] == "settled"
+        monkeypatch.setattr(continuous_newton, "_STALL_STEPS", 10**9)
+        unbounded = _creep_probe(seed)
+        assert len(windowed.trajectory.ts) == len(unbounded.trajectory.ts)
+        assert windowed.trajectory.rejected_steps == unbounded.trajectory.rejected_steps
+        np.testing.assert_array_equal(windowed.solution, unbounded.solution)
+
+    def test_budget_spent_reads_unsettled(self):
+        from repro.trace.tracer import Tracer
+
+        tracer = Tracer()
+        system, guess = random_burgers_system(8, 2.0, np.random.default_rng(1))
+        result = AnalogAccelerator(seed=1).solve(
+            system, initial_guess=guess, tracer=tracer, settle_max_steps=5
+        )
+        assert not result.converged
+        (span,) = tracer.spans_named("analog_settle")
+        assert span.attrs["settle_outcome"] == "unsettled"
+
+    def test_stalled_seed_falls_to_the_hybrid_polish(self):
+        from repro.runtime.ladder import DegradationLadder
+
+        system, guess = random_burgers_system(8, 2.0, np.random.default_rng(0))
+        ladder = DegradationLadder(accelerator=AnalogAccelerator(seed=0), settle_max_steps=1000)
+        result = ladder.solve(system, guess)
+        assert not result.analog.converged
+        assert result.converged and result.rung == "hybrid"
+        assert result.rungs_tried == ("hybrid",)

@@ -39,7 +39,6 @@ from repro.analog.health import (
     SeedQualityGate,
     TileHealth,
 )
-from repro.nonlinear.systems import CoupledQuadraticSystem, SimpleSquareSystem
 from repro.pde.burgers import random_burgers_system
 from repro.trace.tracer import Tracer
 
@@ -421,26 +420,6 @@ class TestHealthMonitor:
     def test_render_report_without_solves(self):
         assert "(no solves observed)" in HealthMonitor().render_report()
 
-    def test_board_summary_on_idle_board_has_no_rates(self):
-        # Zero settled attempts must yield None rates, never a
-        # ZeroDivisionError — the health-report renderer shows "-".
-        summary = HealthMonitor().board_summary()
-        assert summary["solves_observed"] == 0
-        assert summary["settle_rate"] is None
-        assert summary["rejection_rate"] is None
-        assert summary["mean_residual_ewma"] is None
-
-    def test_board_summary_rates_after_observations(self):
-        monitor = HealthMonitor(drift_tolerance=0.5, min_observations=1)
-        self._observe(monitor, [0.1, 0.2])
-        self._observe(monitor, [0.1, 0.2], settled=False)
-        summary = monitor.board_summary()
-        assert summary["solves_observed"] == 2
-        assert summary["settled_solves"] == 1
-        assert summary["settle_rate"] == pytest.approx(0.5)
-        assert summary["rejection_rate"] == pytest.approx(0.0)
-        assert summary["mean_residual_ewma"] is not None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HealthMonitor(drift_tolerance=0.0)
@@ -610,15 +589,3 @@ class TestAcceleratorHealthWiring:
         assert not free & set(accelerator.health.quarantined)
         result = accelerator.solve(system, initial_guess=guess)
         assert result.converged
-
-    def test_seed_quality_fields_survive_homotopy_path(self):
-        accelerator = AnalogAccelerator(seed=0)
-        simple = SimpleSquareSystem(2)
-        hard = CoupledQuadraticSystem(1.0, 1.0)
-        tracer = Tracer()
-        result = accelerator.solve_with_homotopy(
-            simple, hard, np.array([1.0, 1.0]), tracer=tracer
-        )
-        assert result.converged
-        assert result.seed_accepted
-        assert tracer.spans_named("analog_health")

@@ -286,7 +286,7 @@ class TestCommittedCertifySnapshot:
     """The committed BENCH trajectory must carry the certify_soak
     acceptance numbers once the certification layer lands."""
 
-    def test_latest_snapshot_pins_certify_overhead_and_catch_rate(self):
+    def test_latest_snapshot_pins_certify_catch_rate(self):
         from repro.bench import latest_bench_path
 
         path = latest_bench_path(REPO_ROOT)
@@ -297,10 +297,11 @@ class TestCommittedCertifySnapshot:
             f"{path.name} predates certify_soak; re-run `repro bench` and "
             "commit the new snapshot"
         )
-        # Acceptance: certification overhead <= 10%, every injected
-        # corruption deterministically caught, certified clean runs
-        # bitwise identical to uncertified ones.
-        assert bench.counters["certify_overhead_ratio"] <= 1.10
+        # Acceptance: every injected corruption deterministically
+        # caught, certified clean runs bitwise identical to uncertified
+        # ones. These are work counts; the certification overhead is
+        # wall-clock and is measured by perfbench (certify.s on
+        # service_closed_loop), not pinned on a committed snapshot.
         assert bench.work["corruption_caught"] >= 1
         assert bench.work["bitwise_identical"] == 1.0
         assert bench.work["certificates_failed"] == bench.work["corruption_caught"]

@@ -6,14 +6,9 @@ import pytest
 from repro.nonlinear.homotopy import (
     BlendedSystem,
     HomotopySchedule,
-    homotopy_all_roots,
     homotopy_solve,
 )
-from repro.nonlinear.systems import (
-    CallableSystem,
-    CoupledQuadraticSystem,
-    SimpleSquareSystem,
-)
+from repro.nonlinear.systems import CoupledQuadraticSystem, SimpleSquareSystem
 
 
 class TestBlendedSystem:
@@ -85,40 +80,3 @@ class TestHomotopySolve:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             HomotopySchedule(steps=0)
-
-
-class TestHomotopyAllRoots:
-    def test_finds_multiple_roots_and_dedups(self):
-        simple = SimpleSquareSystem(2)
-        hard = CoupledQuadraticSystem(1.0, 1.0)
-        roots = homotopy_all_roots(simple, hard, simple.roots())
-        true_roots = hard.real_roots()
-        # Every found root is a true root.
-        for root in roots:
-            assert hard.residual_norm(root) < 1e-8
-        # No duplicates.
-        for i in range(roots.shape[0]):
-            for j in range(i + 1, roots.shape[0]):
-                assert np.linalg.norm(roots[i] - roots[j]) > 1e-6
-        # Figure 3: the four starts find the system's real roots.
-        assert roots.shape[0] >= min(2, true_roots.shape[0])
-
-    def test_empty_when_no_paths_converge(self):
-        simple = SimpleSquareSystem(2)
-        hard = CoupledQuadraticSystem(rhs0=-100.0, rhs1=0.0)
-        roots = homotopy_all_roots(
-            simple, hard, simple.roots(), HomotopySchedule(steps=15)
-        )
-        assert roots.shape == (0, 2)
-
-    def test_scalar_homotopy_to_shifted_root(self):
-        # 1-D: track x^2 - 1 = 0 into (x - 3)(x + 1) = x^2 - 2x - 3 = 0.
-        simple = SimpleSquareSystem(1)
-        hard = CallableSystem(
-            1,
-            residual=lambda u: np.array([u[0] ** 2 - 2.0 * u[0] - 3.0]),
-            jacobian=lambda u: np.array([[2.0 * u[0] - 2.0]]),
-        )
-        roots = homotopy_all_roots(simple, hard, np.array([[1.0], [-1.0]]))
-        found = sorted(float(r[0]) for r in roots)
-        assert found == pytest.approx([-1.0, 3.0], abs=1e-8)

@@ -97,7 +97,9 @@ class TestReactionDiffusion:
         rng = np.random.default_rng(1)
         target = rng.uniform(-0.5, 0.5, 8)
         base = ReactionDiffusion1D(num_nodes=8, diffusion=1.0, left=0.1, right=-0.1)
-        system = base.with_forcing_for_solution(target)
+        system = ReactionDiffusion1D(
+            num_nodes=8, diffusion=1.0, left=0.1, right=-0.1, forcing=base.residual(target)
+        )
         assert system.residual_norm(target) < 1e-12
         result = newton_solve(system, target + 0.05 * rng.standard_normal(8))
         assert result.converged
