@@ -162,6 +162,27 @@ class DegradationModel:
                 kwargs[key] = float(value)
         return cls(**kwargs)
 
+    def to_record(self) -> Dict[str, Any]:
+        """The model as a JSON-able dict (journals, fleet configs)."""
+        return {
+            "gain_drift_sigma": self.gain_drift_sigma,
+            "offset_drift_sigma": self.offset_drift_sigma,
+            "gain_drift_bias": self.gain_drift_bias,
+            "stuck_tile_rate": self.stuck_tile_rate,
+            "dead_dac_rate": self.dead_dac_rate,
+            "stuck_tiles": list(self.stuck_tiles),
+            "dead_dacs": list(self.dead_dacs),
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "DegradationModel":
+        """Inverse of :meth:`to_record`."""
+        raw = dict(record)
+        raw["stuck_tiles"] = tuple(raw.get("stuck_tiles") or ())
+        raw["dead_dacs"] = tuple(raw.get("dead_dacs") or ())
+        return cls(**raw)
+
     @property
     def active(self) -> bool:
         return bool(

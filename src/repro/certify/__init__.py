@@ -38,7 +38,7 @@ from repro.certify.certificate import (
     solution_digest,
 )
 from repro.certify.residuals import independent_residual, independent_residual_norms
-from repro.certify.verify import JournalVerification, verify_journal
+from repro.certify.verify import JournalVerification, audit_certificate, verify_journal
 
 __all__ = [
     "CanaryResult",
@@ -46,6 +46,7 @@ __all__ = [
     "CertifyPolicy",
     "JournalVerification",
     "SolveCertificate",
+    "audit_certificate",
     "canary_reference",
     "certify_solution",
     "independent_residual",

@@ -21,18 +21,20 @@ Three failure classes, all reported per outcome:
 
 Uncertified journals (no ``certify`` config, no per-outcome
 certificates) are still fully auditable — recompute-only mode.
+:func:`audit_certificate` is the one audit of a committed answer; the
+runtime's ``--resume`` replay runs it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.certify.certificate import CertifyPolicy, SolveCertificate, certify_solution
 from repro.checkpoint.journal import outcome_from_record, read_journal
 
-__all__ = ["JournalVerification", "verify_journal"]
+__all__ = ["JournalVerification", "audit_certificate", "verify_journal"]
 
 PathLike = Union[str, Path]
 
@@ -65,6 +67,42 @@ class JournalVerification:
         return "\n".join(lines)
 
 
+def audit_certificate(
+    request: Any,
+    solution: Any,
+    stored: Optional[SolveCertificate],
+    policy: CertifyPolicy,
+    check_digest: bool = True,
+) -> Optional[Tuple[str, str]]:
+    """Audit one committed answer; returns ``(kind, detail)`` or ``None``.
+
+    Re-certifies ``solution`` against ``request.problem`` from scratch,
+    then checks, in order: the ``stored`` certificate's digest against
+    the recomputed one (skipped when ``check_digest`` is false),
+    the stored verdict, and the recomputed verdict. ``kind`` is
+    ``certificate-mismatch``, ``stored-failure`` or ``certified-bad``.
+    """
+    recomputed = certify_solution(
+        request.problem, solution, value_bound=request.value_bound, policy=policy
+    )
+    if stored is not None:
+        if check_digest and stored.digest != recomputed.digest:
+            return "certificate-mismatch", (
+                f"stored digest {stored.digest[:12]}... != "
+                f"recomputed {recomputed.digest[:12]}..."
+            )
+        if not stored.passed:
+            return "stored-failure", "journal committed an outcome whose certificate says fail"
+    if not recomputed.passed:
+        failed = ", ".join(check.name for check in recomputed.failed_checks())
+        return "certified-bad", (
+            f"re-certification failed ({failed}); relative residual "
+            f"{recomputed.relative_residual:.3e} vs tolerance "
+            f"{recomputed.tolerance:.3e}"
+        )
+    return None
+
+
 def verify_journal(
     path: PathLike,
     policy: Optional[CertifyPolicy] = None,
@@ -82,14 +120,7 @@ def verify_journal(
         stored = (replay.config or {}).get("certify")
         policy = CertifyPolicy.from_record(stored) if stored else CertifyPolicy()
     if tolerance is not None:
-        policy = CertifyPolicy(
-            enabled=True,
-            max_relative_residual=float(tolerance),
-            absolute_floor=policy.absolute_floor,
-            bounds_slack=policy.bounds_slack,
-            canary_threshold=policy.canary_threshold,
-            reference_floor=policy.reference_floor,
-        )
+        policy = replace(policy, enabled=True, max_relative_residual=float(tolerance))
     requests = {request.request_id: request for request in replay.requests}
     result = JournalVerification(path=Path(path))
 
@@ -102,50 +133,17 @@ def verify_journal(
             result.skipped += 1
             continue
         result.checked += 1
-        recomputed = certify_solution(
-            request.problem,
+        problem = audit_certificate(
+            request,
             outcome.solution,
-            value_bound=request.value_bound,
-            policy=policy,
+            outcome.certificate,
+            policy,
+            check_digest=tolerance is None,
         )
-        stored_cert = record["outcome"].get("certificate")
-        if stored_cert is not None:
-            stored = SolveCertificate.from_record(stored_cert)
-            if stored.digest != recomputed.digest and tolerance is None:
-                result.certificates_failed += 1
-                result.problems.append(
-                    {
-                        "kind": "certificate-mismatch",
-                        "request_id": request_id,
-                        "detail": (
-                            f"stored digest {stored.digest[:12]}... != "
-                            f"recomputed {recomputed.digest[:12]}..."
-                        ),
-                    }
-                )
-                continue
-            if not stored.passed:
-                result.certificates_failed += 1
-                result.problems.append(
-                    {
-                        "kind": "stored-failure",
-                        "request_id": request_id,
-                        "detail": "journal committed an outcome whose certificate says fail",
-                    }
-                )
-                continue
-        if not recomputed.passed:
-            failed = ", ".join(check.name for check in recomputed.failed_checks())
+        if problem is not None:
+            kind, detail = problem
             result.certificates_failed += 1
             result.problems.append(
-                {
-                    "kind": "certified-bad",
-                    "request_id": request_id,
-                    "detail": (
-                        f"re-certification failed ({failed}); relative residual "
-                        f"{recomputed.relative_residual:.3e} vs tolerance "
-                        f"{recomputed.tolerance:.3e}"
-                    ),
-                }
+                {"kind": kind, "request_id": request_id, "detail": detail}
             )
     return result

@@ -185,19 +185,6 @@ def runtime_config_record(runtime: "Runtime") -> Dict[str, Any]:
                 for spec in runtime.faults.specs
             ],
         }
-    degradation = None
-    if runtime.degradation is not None:
-        model = runtime.degradation
-        degradation = {
-            "gain_drift_sigma": model.gain_drift_sigma,
-            "offset_drift_sigma": model.offset_drift_sigma,
-            "gain_drift_bias": model.gain_drift_bias,
-            "stuck_tile_rate": model.stuck_tile_rate,
-            "dead_dac_rate": model.dead_dac_rate,
-            "stuck_tiles": list(model.stuck_tiles),
-            "dead_dacs": list(model.dead_dacs),
-            "seed": model.seed,
-        }
     ladder_kwargs = runtime.ladder_kwargs
     if ladder_kwargs is not None:
         try:  # only JSON-able ladder options survive a journal round trip
@@ -209,7 +196,6 @@ def runtime_config_record(runtime: "Runtime") -> Dict[str, Any]:
     return {
         "seed": runtime.seed,
         "workers": runtime.workers,
-        "queue_limit": runtime.queue_limit,
         "retry": {
             "max_attempts": runtime.retry.max_attempts,
             "base_delay": runtime.retry.base_delay,
@@ -217,7 +203,9 @@ def runtime_config_record(runtime: "Runtime") -> Dict[str, Any]:
             "jitter": runtime.retry.jitter,
         },
         "faults": faults,
-        "degradation": degradation,
+        "degradation": (
+            runtime.degradation.to_record() if runtime.degradation is not None else None
+        ),
         "ladder_kwargs": ladder_kwargs,
         "fleet": fleet_config.to_record() if fleet_config is not None else None,
         "certify": certify.to_record() if certify is not None else None,
@@ -227,7 +215,8 @@ def runtime_config_record(runtime: "Runtime") -> Dict[str, Any]:
 def runtime_from_config(config: Dict[str, Any], **overrides: Any) -> "Runtime":
     """Rebuild a :class:`~repro.runtime.runtime.Runtime` from a
     ``batch_started`` config record (``overrides`` win, e.g. a fresh
-    journal handle or a shutdown latch)."""
+    journal handle or a shutdown latch). Keys the runtime no longer
+    takes, such as the ``queue_limit`` of older journals, are ignored."""
     from repro.analog.health import DegradationModel
     from repro.runtime.api import RetryPolicy
     from repro.runtime.faults import FaultInjector, FaultSpec
@@ -251,10 +240,7 @@ def runtime_from_config(config: Dict[str, Any], **overrides: Any) -> "Runtime":
         )
     degradation = None
     if config.get("degradation") is not None:
-        raw = dict(config["degradation"])
-        raw["stuck_tiles"] = tuple(raw.get("stuck_tiles") or ())
-        raw["dead_dacs"] = tuple(raw.get("dead_dacs") or ())
-        degradation = DegradationModel(**raw)
+        degradation = DegradationModel.from_record(config["degradation"])
     fleet = None
     if config.get("fleet") is not None:
         from repro.fleet.scheduler import FleetConfig
@@ -267,7 +253,6 @@ def runtime_from_config(config: Dict[str, Any], **overrides: Any) -> "Runtime":
         certify = CertifyPolicy.from_record(config["certify"])
     kwargs: Dict[str, Any] = {
         "workers": config.get("workers", 1),
-        "queue_limit": config.get("queue_limit", 256),
         "retry": RetryPolicy(**config.get("retry", {})),
         "seed": config.get("seed", 0),
         "faults": faults,
@@ -313,10 +298,6 @@ class BatchJournal:
         journal = cls(replay.path)
         journal._seq = replay.next_seq
         return journal
-
-    @property
-    def records_written(self) -> int:
-        return self._seq
 
     def open(self) -> "BatchJournal":
         if self._handle is None:

@@ -64,10 +64,6 @@ class GracefulShutdown:
     def requested(self) -> bool:
         return self._event.is_set()
 
-    @property
-    def received_signal(self) -> Optional[int]:
-        return self._received
-
     def request(self, signum: Optional[int] = None) -> None:
         """Set the flag programmatically (tests, embedding hosts)."""
         if self._received is None:

@@ -242,26 +242,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--workers", type=int, default=None, help="process count (1 = serial)")
 
-    serve = sub.add_parser(
-        "serve-batch",
-        help="run a batch of solve requests through the fault-tolerant runtime",
-        parents=[traceable],
-    )
-    serve.add_argument("--requests", type=int, default=8, help="number of solve requests")
-    serve.add_argument(
+    # The Burgers request stream that ``serve-batch`` and ``serve``
+    # both build (see :func:`_burgers_requests`), and how each attempt
+    # runs: one parent parser, so the two commands cannot drift apart.
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--requests", type=int, default=8, help="number of solve requests")
+    stream.add_argument(
         "--grids", type=_parse_ints, default=(2,), help="Burgers grid sizes, round-robin"
     )
-    serve.add_argument("--reynolds", type=float, default=1.0)
-    serve.add_argument("--workers", type=int, default=1, help="process count (1 = in-process)")
-    serve.add_argument("--seed", type=int, default=0, help="runtime seed (retries, fault draws)")
-    serve.add_argument(
+    stream.add_argument("--reynolds", type=float, default=1.0)
+    stream.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="root seed: problem instances, retries, fault draws, board dies",
+    )
+    stream.add_argument(
         "--deadline", type=float, default=None, help="per-attempt deadline in seconds"
     )
-    serve.add_argument("--max-attempts", type=int, default=3)
-    serve.add_argument(
+    stream.add_argument("--max-attempts", type=int, default=3)
+    stream.add_argument(
         "--analog-time-limit", type=float, default=60.0, help="analog settle budget per attempt"
     )
-    serve.add_argument(
+    stream.add_argument(
         "--faults",
         type=_parse_fault_rates,
         default=None,
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject chaos faults, e.g. worker_crash=0.1,analog_spike=0.2 "
         "(kinds: " + ",".join(FAULT_KINDS) + ")",
     )
-    serve.add_argument(
+    stream.add_argument(
         "--degradation",
         type=_parse_degradation,
         default=None,
@@ -278,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "offset_drift_sigma=0.2,gain_drift_sigma=0.02 "
         "(lists ';'-separated: stuck_tiles=chip0.tile1;chip0.tile3)",
     )
-
-    serve.add_argument(
+    stream.add_argument(
         "--boards",
         type=int,
         default=None,
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "drifting boards (health-aware routing, predictive seed "
         "gating, board quarantine); default: the single pre-fleet board",
     )
-    serve.add_argument(
+    stream.add_argument(
         "--kill-board",
         type=_parse_kill_board,
         default=None,
@@ -296,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="chaos seam: kill fleet board BOARD once AFTER routing "
         "decisions have been made (requires --boards)",
     )
-    serve.add_argument(
+    stream.add_argument(
         "--settle-max-steps",
         type=int,
         default=None,
@@ -305,6 +307,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "(a drifted board then costs bounded work instead of "
         "unbounded wall-clock)",
     )
+    stream.add_argument(
+        "--certify",
+        action="store_true",
+        help="re-verify every converged answer through the independent "
+        "solve certificate before committing it; a failed certificate "
+        "escalates to a digital re-solve and blames the analog board",
+    )
+
+    serve = sub.add_parser(
+        "serve-batch",
+        help="run a batch of solve requests through the fault-tolerant runtime",
+        parents=[traceable, stream],
+    )
+    serve.add_argument("--workers", type=int, default=1, help="process count (1 = in-process)")
     serve.add_argument(
         "--journal",
         metavar="PATH",
@@ -322,31 +338,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "is rebuilt from the journal's recorded configuration",
     )
     serve.add_argument(
-        "--certify",
-        action="store_true",
-        help="re-verify every converged answer through the independent "
-        "solve certificate before committing it; a failed certificate "
-        "escalates to a digital re-solve and blames the analog board",
-    )
-    serve.add_argument(
         "--crash-after-outcomes", type=int, default=None, help=argparse.SUPPRESS
     )
 
     service = sub.add_parser(
         "serve",
         help="run requests through the sharded async solve service",
-        parents=[traceable],
+        parents=[traceable, stream],
     )
-    service.add_argument("--requests", type=int, default=8, help="number of solve requests")
     service.add_argument("--shards", type=int, default=2, help="Runtime shard count")
     service.add_argument(
         "--workers-per-shard", type=int, default=1, help="pool width inside each shard"
     )
-    service.add_argument(
-        "--grids", type=_parse_ints, default=(2,), help="Burgers grid sizes, round-robin"
-    )
-    service.add_argument("--reynolds", type=float, default=1.0)
-    service.add_argument("--seed", type=int, default=0, help="service seed (shared by shards)")
     service.add_argument(
         "--queue-limit", type=int, default=64, help="admission-queue bound (backpressure)"
     )
@@ -357,61 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tenants", type=int, default=1, help="spread requests across N synthetic tenants"
     )
     service.add_argument(
-        "--deadline", type=float, default=None, help="per-attempt deadline in seconds"
-    )
-    service.add_argument("--max-attempts", type=int, default=3)
-    service.add_argument(
-        "--analog-time-limit", type=float, default=60.0, help="analog settle budget per attempt"
-    )
-    service.add_argument(
-        "--faults",
-        type=_parse_fault_rates,
-        default=None,
-        metavar="KIND=RATE,...",
-        help="inject chaos faults on every shard (kinds: " + ",".join(FAULT_KINDS) + ")",
-    )
-    service.add_argument(
-        "--degradation",
-        type=_parse_degradation,
-        default=None,
-        metavar="KEY=VALUE,...",
-        help="age every attempt's analog board (same syntax as serve-batch)",
-    )
-    service.add_argument(
         "--journal-dir",
         metavar="DIR",
         default=None,
         help="write per-shard write-ahead journals into DIR (enables "
         "journal-replay fail-over when a shard crashes)",
-    )
-    service.add_argument(
-        "--boards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="share one fleet of N analog boards across every shard "
-        "(health-aware routing, predictive gating, quarantine)",
-    )
-    service.add_argument(
-        "--kill-board",
-        type=_parse_kill_board,
-        default=None,
-        metavar="BOARD:AFTER",
-        help="chaos seam: kill fleet board BOARD once AFTER routing "
-        "decisions have been made (requires --boards)",
-    )
-    service.add_argument(
-        "--settle-max-steps",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound each analog settle to N accepted integrator steps",
-    )
-    service.add_argument(
-        "--certify",
-        action="store_true",
-        help="re-verify every converged answer through the independent "
-        "solve certificate on every shard (escalation on failure)",
     )
     service.add_argument(
         "--canary-interval",
@@ -616,6 +569,32 @@ def _fleet_config(args):
     if args.boards is None:
         raise SystemExit("--kill-board requires --boards")
     return FleetConfig(boards=args.boards, kill_board_after=args.kill_board)
+
+
+def _burgers_requests(args) -> List[SolveRequest]:
+    """The request stream of ``serve-batch`` and ``serve``: one random
+    Burgers instance per request, grids round-robin, seeds from
+    ``--seed``."""
+    return [
+        SolveRequest(
+            request_id=f"req-{index:04d}",
+            problem=ProblemSpec.burgers(
+                grid_n=args.grids[index % len(args.grids)],
+                reynolds=args.reynolds,
+                seed=args.seed + index,
+            ),
+            deadline_seconds=args.deadline,
+            analog_time_limit=args.analog_time_limit,
+        )
+        for index in range(args.requests)
+    ]
+
+
+def _fault_injector(args) -> Optional[FaultInjector]:
+    """The ``--faults`` rates as a seeded injector (or None)."""
+    if not args.faults:
+        return None
+    return FaultInjector.from_rates(args.faults, seed=args.seed)
 
 
 def _ladder_kwargs(args):
@@ -824,29 +803,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 workers=args.workers,
                 seed=args.seed,
             )
-            requests = [
-                SolveRequest(
-                    request_id=f"req-{index:04d}",
-                    problem=ProblemSpec.burgers(
-                        grid_n=args.grids[index % len(args.grids)],
-                        reynolds=args.reynolds,
-                        seed=args.seed + index,
-                    ),
-                    deadline_seconds=args.deadline,
-                    analog_time_limit=args.analog_time_limit,
-                )
-                for index in range(args.requests)
-            ]
+            requests = _burgers_requests(args)
             runtime = Runtime(
                 workers=args.workers,
-                queue_limit=max(256, args.requests),
                 retry=RetryPolicy(max_attempts=args.max_attempts),
                 seed=args.seed,
-                faults=(
-                    FaultInjector.from_rates(args.faults, seed=args.seed)
-                    if args.faults
-                    else None
-                ),
+                faults=_fault_injector(args),
                 degradation=args.degradation,
                 journal=(BatchJournal(args.journal) if args.journal else None),
                 crash_after_outcomes=args.crash_after_outcomes,
@@ -868,19 +830,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         fleet = _fleet_config(args)
         if args.canary_interval is not None and fleet is None:
             raise SystemExit("--canary-interval requires --boards")
-        requests = [
-            SolveRequest(
-                request_id=f"req-{index:04d}",
-                problem=ProblemSpec.burgers(
-                    grid_n=args.grids[index % len(args.grids)],
-                    reynolds=args.reynolds,
-                    seed=args.seed + index,
-                ),
-                deadline_seconds=args.deadline,
-                analog_time_limit=args.analog_time_limit,
-            )
-            for index in range(args.requests)
-        ]
+        requests = _burgers_requests(args)
         # The service merges its own per-shard traces; the shared
         # single-tracer export path below stays unused here.
         result = serve_requests(
@@ -897,11 +847,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             batch_window=args.batch_window,
             seed=args.seed,
             retry=RetryPolicy(max_attempts=args.max_attempts),
-            faults=(
-                FaultInjector.from_rates(args.faults, seed=args.seed)
-                if args.faults
-                else None
-            ),
+            faults=_fault_injector(args),
             degradation=args.degradation,
             journal_dir=args.journal_dir,
             ladder_kwargs=_ladder_kwargs(args),

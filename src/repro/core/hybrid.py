@@ -61,10 +61,6 @@ class HybridResult:
         return self.digital.iterations
 
     @property
-    def analog_settle_time_units(self) -> float:
-        return self.analog.settle_time_units
-
-    @property
     def residual_norm(self) -> float:
         return self.digital.residual_norm
 

@@ -49,10 +49,6 @@ class EqualAccuracyResult:
     total_linear_solves: int = 0
     preconditioner_builds: int = 0
 
-    @property
-    def mean_inner_per_newton(self) -> float:
-        return self.inner_iterations / max(self.linear_solves, 1)
-
 
 def equal_accuracy_damped_newton(
     system: NonlinearSystem,

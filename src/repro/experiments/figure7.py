@@ -55,14 +55,6 @@ class Figure7Result:
                 return row
         return None
 
-    def speedup_at(self, grid_n: int) -> List[float]:
-        """Digital/analog time ratios across Reynolds values at one size."""
-        return [
-            row["digital time (s)"] / row["analog time (s)"]
-            for row in self.rows_data
-            if row["grid"] == f"{grid_n}x{grid_n}" and row["analog time (s)"] > 0
-        ]
-
 
 def run_figure7(
     grid_sizes: Tuple[int, ...] = (2, 4, 8, 16),

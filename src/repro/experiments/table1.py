@@ -38,12 +38,6 @@ class Table1Result:
     def render(self) -> str:
         return ascii_table(self.rows_data)
 
-    def measured_fraction(self, solver: str) -> float:
-        for row in self.rows_data:
-            if row["representative solver"] == solver:
-                return row["measured kernel time"]
-        raise KeyError(solver)
-
 
 def run_table1(repeats: int = 1) -> Table1Result:
     """Profile all four mini-apps; ``repeats`` averages the fractions."""

@@ -27,8 +27,9 @@ keyed by ``stable_seed(seed, request, attempt, "gate_audit")`` like
 every other stream) runs the settle anyway; an audited settle whose
 seed the post-settle gate then *accepts* is counted as
 ``gate_false_positive``, one it rejects as ``gate_vetoes_confirmed``.
-The trace's ``predictive_gate`` spans carry the prediction, the
-decision, and the audit verdict, so predicted-vs-actual is always
+Each attempt's ``fleet_route`` span carries the gate's ``decision``,
+``predicted`` score, ``conditioning`` and ``threshold``, and those two
+counters carry the audit verdicts, so predicted-vs-actual is always
 reconstructible.
 """
 

@@ -57,30 +57,6 @@ __all__ = ["AnalogFleet", "FleetConfig", "FleetScheduler"]
 _AUDIT_LOG_BOUND = 100_000
 
 
-def _model_record(model: Optional[DegradationModel]) -> Optional[Dict[str, Any]]:
-    if model is None:
-        return None
-    return {
-        "gain_drift_sigma": model.gain_drift_sigma,
-        "offset_drift_sigma": model.offset_drift_sigma,
-        "gain_drift_bias": model.gain_drift_bias,
-        "stuck_tile_rate": model.stuck_tile_rate,
-        "dead_dac_rate": model.dead_dac_rate,
-        "stuck_tiles": list(model.stuck_tiles),
-        "dead_dacs": list(model.dead_dacs),
-        "seed": model.seed,
-    }
-
-
-def _model_from_record(raw: Optional[Dict[str, Any]]) -> Optional[DegradationModel]:
-    if raw is None:
-        return None
-    raw = dict(raw)
-    raw["stuck_tiles"] = tuple(raw.get("stuck_tiles") or ())
-    raw["dead_dacs"] = tuple(raw.get("dead_dacs") or ())
-    return DegradationModel(**raw)
-
-
 @dataclass
 class FleetConfig:
     """Everything needed to rebuild an identical fleet (JSON-able).
@@ -131,7 +107,7 @@ class FleetConfig:
                 "enabled": self.gate.enabled,
             },
             "board_models": (
-                {str(key): _model_record(model) for key, model in self.board_models.items()}
+                {str(key): model.to_record() for key, model in self.board_models.items()}
                 if self.board_models
                 else None
             ),
@@ -145,7 +121,7 @@ class FleetConfig:
         board_models = None
         if raw.get("board_models"):
             board_models = {
-                int(key): _model_from_record(model)
+                int(key): DegradationModel.from_record(model)
                 for key, model in raw["board_models"].items()
             }
         kill = raw.get("kill_board_after")

@@ -80,10 +80,6 @@ class LinearSolverStats:
         self.dense_fallbacks += other.dense_fallbacks
 
     @property
-    def mean_inner_per_solve(self) -> float:
-        return self.inner_iterations / max(self.solves, 1)
-
-    @property
     def preconditioner_reuse_fraction(self) -> float:
         """Fraction of solves that did *not* pay a factorization."""
         if self.solves == 0:

@@ -77,10 +77,6 @@ IterationHook = Callable[[int, float], None]
 LinearSolverLike = Union[LinearKernel, LinearSolver]
 
 
-class NewtonDivergence(RuntimeError):
-    """Raised internally when an iteration produces a non-finite state."""
-
-
 @dataclass
 class NewtonOptions:
     """Knobs of the digital Newton iteration.

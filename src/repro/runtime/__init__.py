@@ -1,8 +1,8 @@
 """Fault-tolerant batched solve runtime for the hybrid solver stack.
 
 This package is the serving layer on top of the reproduction's solver
-library: a bounded work queue of :class:`SolveRequest` objects fanned
-over a process pool, each attempt supervised by deadlines, bounded
+library: a batch of :class:`SolveRequest` objects fanned over a
+process pool, each attempt supervised by deadlines, bounded
 seeded-backoff retries, and an explicit degradation ladder
 (analog-seeded hybrid -> damped Newton -> homotopy continuation ->
 structured failure), with every request guaranteed to end in exactly
@@ -17,7 +17,6 @@ from repro.runtime.api import (
     DeadlineExceeded,
     PoolBroken,
     ProblemSpec,
-    QueueFull,
     RetryPolicy,
     SolveOutcome,
     SolveRequest,
@@ -56,7 +55,6 @@ __all__ = [
     "LadderResult",
     "PoolBroken",
     "ProblemSpec",
-    "QueueFull",
     "RetryPolicy",
     "Runtime",
     "RungAttempt",

@@ -24,28 +24,43 @@ from repro.analog.health import stable_seed
 from repro.families import FAMILIES, ProblemFamily
 
 __all__ = [
+    "DEFAULT_RUNGS",
     "DeadlineExceeded",
     "PoolBroken",
-    "QueueFull",
     "Deadline",
     "ProblemSpec",
     "RetryPolicy",
     "SolveRequest",
     "SolveOutcome",
     "TERMINAL_STATUSES",
+    "check_rungs",
     "stable_seed",
 ]
 
 # Every outcome ends in exactly one of these.
 TERMINAL_STATUSES = ("converged", "failed", "timeout")
 
+# The degradation ladder's rungs, in descent order; every rung name a
+# request or a ladder may name is one of these.
+DEFAULT_RUNGS: Tuple[str, ...] = ("hybrid", "damped_newton", "homotopy")
+
+
+def check_rungs(rungs: Tuple[str, ...]) -> Tuple[str, ...]:
+    """Validate a rung order; returns it as a tuple.
+
+    Raises :class:`ValueError` for an empty order or a name outside
+    :data:`DEFAULT_RUNGS`.
+    """
+    unknown = set(rungs) - set(DEFAULT_RUNGS)
+    if unknown:
+        raise ValueError(f"unknown ladder rungs: {sorted(unknown)}")
+    if not rungs:
+        raise ValueError("the ladder needs at least one rung")
+    return tuple(rungs)
+
 
 class DeadlineExceeded(RuntimeError):
     """A solve ran past its per-request deadline (cooperative check)."""
-
-
-class QueueFull(RuntimeError):
-    """The runtime's bounded work queue rejected a submission."""
 
 
 class PoolBroken(RuntimeError):
@@ -175,7 +190,8 @@ class SolveRequest:
         watchdog with a grace margin for true hangs.
     rungs:
         Optional override of the degradation-ladder rung order (e.g.
-        ``("damped_newton",)`` for digital-only soak batches).
+        ``("damped_newton",)`` for digital-only soak batches); a
+        nonempty subset of :data:`DEFAULT_RUNGS`.
     """
 
     request_id: str
@@ -190,6 +206,8 @@ class SolveRequest:
             raise ValueError("request_id must be nonempty")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive when set")
+        if self.rungs is not None:
+            check_rungs(self.rungs)
 
 
 @dataclass

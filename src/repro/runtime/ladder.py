@@ -47,7 +47,7 @@ from repro.nonlinear.newton import (
     newton_solve,
 )
 from repro.nonlinear.systems import NonlinearSystem
-from repro.runtime.api import Deadline, DeadlineExceeded
+from repro.runtime.api import DEFAULT_RUNGS, Deadline, DeadlineExceeded, check_rungs
 from repro.runtime.faults import InjectedWorkerCrash
 from repro.trace.tracer import TracerLike, as_tracer
 
@@ -60,8 +60,6 @@ __all__ = [
     "DegradationLadder",
     "damped_recovery",
 ]
-
-DEFAULT_RUNGS: Tuple[str, ...] = ("hybrid", "damped_newton", "homotopy")
 
 # The paper polishes "to double-precision floating point epsilon"; on a
 # residual norm this is epsilon scaled by the problem's magnitude.
@@ -184,12 +182,7 @@ class DegradationLadder:
             divergence_threshold=self.polish_options.divergence_threshold,
         )
         self.schedule = schedule or HomotopySchedule(steps=20)
-        unknown = set(rungs) - set(DEFAULT_RUNGS)
-        if unknown:
-            raise ValueError(f"unknown ladder rungs: {sorted(unknown)}")
-        if not rungs:
-            raise ValueError("the ladder needs at least one rung")
-        self.rungs = tuple(rungs)
+        self.rungs = check_rungs(rungs)
         self.linear_solver = linear_solver
 
     def solve(
@@ -210,8 +203,11 @@ class DegradationLadder:
         :class:`~repro.runtime.faults.InjectedWorkerCrash` (which must
         escape — it stands in for the process dying) interrupt the
         descent; any other exception inside a rung is recorded as that
-        rung's failure and the next rung runs.
+        rung's failure and the next rung runs. ``rungs`` overrides the
+        ladder's order for this solve and is checked like the
+        constructor's.
         """
+        rungs = self.rungs if rungs is None else check_rungs(rungs)
         tracer = as_tracer(tracer)
         guess = (
             np.zeros(system.dimension)
@@ -228,7 +224,7 @@ class DegradationLadder:
         timed_out = False
 
         with tracer.span("ladder", dimension=system.dimension) as ladder_span:
-            for index, rung in enumerate(rungs or self.rungs):
+            for index, rung in enumerate(rungs):
                 if deadline is not None and deadline.expired:
                     timed_out = True
                     break

@@ -1,8 +1,8 @@
 """Batched, fault-tolerant solve orchestration (the serving layer).
 
 :class:`Runtime` turns the library's solvers into something that can
-face traffic: requests enter a bounded work queue, fan out over a
-process pool (sharing the degrade-to-serial posture of
+face traffic: a batch of requests fans out over a process pool
+(sharing the degrade-to-serial posture of
 :mod:`repro.experiments.parallel`), and every one of them ends in a
 :class:`~repro.runtime.api.SolveOutcome` — converged, failed, or
 timed out — no matter what the attempt did: returned garbage, ran
@@ -22,7 +22,7 @@ Supervision model:
   with a fresh accelerator die (new analog mismatch pattern) — the
   hybrid-restart pattern of Burns et al. (arXiv:2410.06397);
 * **worker crashes** — a broken pool charges every in-flight attempt
-  one crashed attempt and degrades the rest of the window to
+  one crashed attempt and degrades the rest of the batch to
   in-process execution (a fresh fork after an abrupt process death is
   not a bet worth making); the crash is recorded in counters, outcome
   fault lists, and the trace manifest;
@@ -31,8 +31,8 @@ Supervision model:
   analog-seeded hybrid -> damped Newton -> homotopy before reporting
   structured failure.
 
-Tracing: the parent records ``runtime_batch`` > ``solve_attempt`` >
-``retry`` spans and absorbs each worker's span stream (ladder rungs,
+Tracing: the parent records ``runtime_batch`` > ``fleet_route`` /
+``solve_attempt`` spans and absorbs each worker's span stream (ladder rungs,
 Newton iterations, analog settles) under the corresponding
 ``solve_attempt`` via :meth:`repro.trace.Tracer.absorb`, so one trace
 file tells the whole batch's story. Worker span timestamps are
@@ -49,13 +49,14 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import AnalogAccelerator
 from repro.analog.health import DegradationModel, DegradationSchedule
 from repro.certify.certificate import CertifyPolicy, certify_solution
+from repro.certify.verify import audit_certificate
+from repro.checkpoint.journal import JournalError
 from repro.checkpoint.signals import GracefulShutdown, RunInterrupted
 from repro.fleet.board import BoardAssignment
 from repro.fleet.scheduler import AnalogFleet, FleetConfig
@@ -64,7 +65,6 @@ from repro.runtime.api import (
     Deadline,
     DeadlineExceeded,
     PoolBroken,
-    QueueFull,
     RetryPolicy,
     SolveOutcome,
     SolveRequest,
@@ -81,7 +81,7 @@ __all__ = ["AttemptReport", "BatchResult", "Runtime"]
 _DEADLINE_GRACE_FACTOR = 1.5
 _DEADLINE_GRACE_FLOOR = 0.5
 # How long the pooled supervisor waits on in-flight attempts before it
-# re-checks shutdown, admission and the watchdog.
+# re-checks shutdown, dispatch and the watchdog.
 _POLL_INTERVAL_S = 0.02
 
 
@@ -391,10 +391,6 @@ class Runtime:
         Process-pool width; 1 runs in-process (still fully supervised,
         but worker-crash faults are simulated by exception and true
         hangs can only be caught cooperatively).
-    queue_limit:
-        Bound on the admission queue. :meth:`submit` raises
-        :class:`~repro.runtime.api.QueueFull` beyond it;
-        :meth:`run_batch` admits oversized batches window by window.
     retry:
         Bounded-retry/backoff policy (default: 3 attempts).
     seed:
@@ -420,8 +416,8 @@ class Runtime:
         the config overrides per board) or an already-built
         :class:`~repro.fleet.scheduler.AnalogFleet` (the service's
         shared-fleet mode: every shard draws boards from one fleet).
-        Each attempt is routed to the healthiest eligible board
-        (``fleet_route``/``predictive_gate`` spans); a predictive veto
+        Each attempt is routed to the healthiest eligible board (one
+        ``fleet_route`` span carrying the gate's decision); a predictive veto
         or an exhausted fleet skips the hybrid rung entirely. A
         one-board fleet with default thresholds reproduces the
         single-board path bitwise.
@@ -440,7 +436,7 @@ class Runtime:
     on_pool_break:
         What a broken process pool means. ``"degrade"`` (default, the
         single-host posture): charge in-flight attempts one crash each
-        and finish the window in-process. ``"fail"`` (the service-shard
+        and finish the batch in-process. ``"fail"`` (the service-shard
         posture): journal ``batch_interrupted`` and raise
         :class:`~repro.runtime.api.PoolBroken` so a supervisor can fail
         the shard over instead of letting it limp along serially.
@@ -460,7 +456,6 @@ class Runtime:
     def __init__(
         self,
         workers: int = 1,
-        queue_limit: int = 256,
         retry: Optional[RetryPolicy] = None,
         seed: int = 0,
         faults: Optional[FaultInjector] = None,
@@ -472,12 +467,9 @@ class Runtime:
         fleet: Optional[Any] = None,
         certify: Optional[Any] = None,
     ):
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be at least 1")
         if on_pool_break not in ("degrade", "fail"):
             raise ValueError('on_pool_break must be "degrade" or "fail"')
         self.workers = max(1, int(workers))
-        self.queue_limit = int(queue_limit)
         self.retry = retry or RetryPolicy()
         self.seed = int(seed)
         self.faults = faults
@@ -497,32 +489,19 @@ class Runtime:
             self.fleet_config = fleet
             self.fleet = AnalogFleet(fleet, degradation=degradation, seed=self.seed)
         self._outcomes_committed = 0
-        self._queue: deque = deque()
-
-    # -- admission ------------------------------------------------------
-
-    def submit(self, request: SolveRequest) -> None:
-        """Admit one request; raises :class:`QueueFull` at the bound."""
-        if len(self._queue) >= self.queue_limit:
-            raise QueueFull(
-                f"work queue at its bound ({self.queue_limit}); drain before submitting"
-            )
-        if any(queued.request_id == request.request_id for queued in self._queue):
-            raise ValueError(f"duplicate request_id {request.request_id!r} in queue")
-        self._queue.append(request)
 
     def run_batch(
         self,
-        requests: Optional[Sequence[SolveRequest]] = None,
+        requests: Sequence[SolveRequest],
         tracer: Optional[TracerLike] = None,
         resume: Optional[Any] = None,
         shutdown: Optional[GracefulShutdown] = None,
     ) -> BatchResult:
-        """Run requests (given, plus any previously submitted) to completion.
+        """Run a batch of requests to completion.
 
         Every request yields exactly one
-        :class:`~repro.runtime.api.SolveOutcome`, in submission order.
-        Oversized batches are admitted in queue-bound-sized windows.
+        :class:`~repro.runtime.api.SolveOutcome`, in request order.
+        ``request_id`` values must be unique within the batch.
 
         ``resume`` is a :class:`repro.checkpoint.JournalReplay` from a
         prior run's journal: requests with a committed outcome are
@@ -539,8 +518,7 @@ class Runtime:
         lands on the same path).
         """
         tracer = as_tracer(tracer)
-        all_requests = list(self._queue) + list(requests or [])
-        self._queue.clear()
+        all_requests = list(requests)
         ids = [request.request_id for request in all_requests]
         if len(set(ids)) != len(ids):
             raise ValueError("request_ids within a batch must be unique")
@@ -596,10 +574,7 @@ class Runtime:
                 self.journal.batch_resumed(replayed, len(all_requests) - replayed)
 
         with tracer.span(
-            "runtime_batch",
-            requests=len(all_requests),
-            workers=self.workers,
-            queue_limit=self.queue_limit,
+            "runtime_batch", requests=len(all_requests), workers=self.workers
         ) as batch_span:
             remaining = [
                 request
@@ -607,20 +582,10 @@ class Runtime:
                 if request.request_id not in outcomes
             ]
             try:
-                while remaining:
-                    window = remaining[: self.queue_limit]
-                    remaining = remaining[self.queue_limit :]
-                    if self.workers > 1:
-                        window_mode = self._run_pooled_window(
-                            window, tracer, bump, outcomes, shutdown
-                        )
-                    else:
-                        self._run_serial_window(
-                            window, tracer, bump, outcomes, shutdown
-                        )
-                        window_mode = "serial"
-                    if window_mode == "parallel":
-                        mode = "parallel"
+                if remaining and self.workers > 1:
+                    mode = self._run_pooled(remaining, tracer, bump, outcomes, shutdown)
+                else:
+                    self._run_serial(remaining, tracer, bump, outcomes, shutdown)
             except (KeyboardInterrupt, RunInterrupted) as exc:
                 interrupted = True
                 interrupt_reason = str(exc) or type(exc).__name__
@@ -681,40 +646,42 @@ class Runtime:
     ) -> Optional[BoardAssignment]:
         """Ask the fleet for a board before dispatching one attempt.
 
-        Emits the ``fleet_route`` > ``predictive_gate`` spans and
-        stashes the decision's counter events on the request state;
+        The ``fleet_route`` span times the routing call and carries the
+        board choice plus the predictive gate's ``decision``,
+        ``predicted`` score, ``conditioning`` and ``threshold``
+        (``decision="exhausted"`` when no board was eligible). The
+        decision's counter events are stashed on the request state;
         they are recorded (and journal-attributed) when the attempt's
         report is processed.
         """
         if self.fleet is None:
             return None
         request = state.request
-        assignment, events = self.fleet.route(request, attempt)
+        with tracer.span(
+            "fleet_route", request=request.request_id, attempt=attempt
+        ) as route_span:
+            assignment, events = self.fleet.route(request, attempt)
+            route_span.update(
+                board=assignment.board_id,
+                exhausted=assignment.fleet_exhausted,
+                penalty=assignment.health_penalty,
+                eligible=len(self.fleet.eligible_boards()),
+            )
+            if assignment.fleet_exhausted:
+                # No eligible board, so the gate never ran.
+                route_span.update(decision="exhausted")
+            else:
+                route_span.update(
+                    decision=assignment.gate_decision,
+                    predicted=assignment.predicted_quality,
+                    conditioning=assignment.conditioning,
+                    threshold=self.fleet.gate.threshold,
+                )
         for name, value in events.items():
             state.pending_fleet_events[name] = (
                 state.pending_fleet_events.get(name, 0) + value
             )
         state.assignments[attempt] = assignment
-        with tracer.span(
-            "fleet_route",
-            request=request.request_id,
-            attempt=attempt,
-            board=assignment.board_id,
-            exhausted=assignment.fleet_exhausted,
-            penalty=assignment.health_penalty,
-            eligible=len(self.fleet.eligible_boards()),
-        ):
-            if not assignment.fleet_exhausted:
-                with tracer.span(
-                    "predictive_gate",
-                    request=request.request_id,
-                    board=assignment.board_id,
-                    decision=assignment.gate_decision,
-                    predicted=assignment.predicted_quality,
-                    conditioning=assignment.conditioning,
-                    threshold=self.fleet.gate.threshold,
-                ):
-                    pass
         return assignment
 
     # -- attempt bookkeeping -------------------------------------------
@@ -806,14 +773,7 @@ class Runtime:
                     self.seed, state.request.request_id, state.attempts_started
                 )
                 record("runtime_retries")
-                with tracer.span(
-                    "retry",
-                    request=state.request.request_id,
-                    next_attempt=state.attempts_started,
-                    delay=delay,
-                ):
-                    pass
-                attempt_span.update(retry_scheduled=True)
+                attempt_span.update(retry_scheduled=True, retry_delay=delay)
         if will_retry:
             return None, delay
         if escalate:
@@ -992,35 +952,25 @@ class Runtime:
             )
 
     def _verify_replayed(self, request: SolveRequest, outcome: SolveOutcome) -> None:
-        """Re-verify one journal-replayed outcome instead of trusting it.
+        """Re-verify one journal-replayed certified outcome instead of
+        trusting it (:func:`repro.certify.verify.audit_certificate`).
 
-        The stored certificate's digest must equal the digest recomputed
-        from the stored solution (same policy, pure function), and the
-        recomputation must still pass — anything else means the journal
-        was modified after commit or solution and certificate were torn
-        apart, which is corruption, not a crash mark.
+        A digest that does not match the stored solution, a stored
+        verdict of ``fail``, or a solution that no longer certifies
+        means the journal was modified after commit or solution and
+        certificate were torn apart, which is corruption, not a crash
+        mark.
         """
         if not outcome.ok or outcome.solution is None or outcome.certificate is None:
             return
-        from repro.checkpoint.journal import JournalError
-
-        recomputed = certify_solution(
-            request.problem,
-            outcome.solution,
-            value_bound=request.value_bound,
-            policy=self.certify,
+        problem = audit_certificate(
+            request, outcome.solution, outcome.certificate, self.certify
         )
-        if outcome.certificate.digest != recomputed.digest:
+        if problem is not None:
+            kind, detail = problem
             raise JournalError(
-                f"replay re-verification failed for {outcome.request_id!r}: stored "
-                f"certificate digest {outcome.certificate.digest[:12]}... does not match "
-                f"recomputed {recomputed.digest[:12]}..."
-            )
-        if not recomputed.passed:
-            failed = ",".join(check.name for check in recomputed.failed_checks())
-            raise JournalError(
-                f"replay re-verification failed for {outcome.request_id!r}: committed "
-                f"solution no longer certifies ({failed})"
+                f"replay re-verification failed for {outcome.request_id!r}: "
+                f"{kind}: {detail}"
             )
 
     @staticmethod
@@ -1030,15 +980,15 @@ class Runtime:
 
     # -- serial execution ----------------------------------------------
 
-    def _run_serial_window(
+    def _run_serial(
         self,
-        window: List[SolveRequest],
+        requests: List[SolveRequest],
         tracer: TracerLike,
         bump,
         outcomes: Dict[str, SolveOutcome],
         shutdown: Optional[GracefulShutdown] = None,
-    ) -> Dict[str, SolveOutcome]:
-        for request in window:
+    ) -> None:
+        for request in requests:
             state = _RequestState(request)
             while True:
                 self._check_shutdown(shutdown)
@@ -1052,35 +1002,35 @@ class Runtime:
                     break
                 if delay > 0:
                     time.sleep(delay)
-        return outcomes
 
     # -- pooled execution ----------------------------------------------
 
-    def _run_pooled_window(
+    def _run_pooled(
         self,
-        window: List[SolveRequest],
+        requests: List[SolveRequest],
         tracer: TracerLike,
         bump,
         outcomes: Dict[str, SolveOutcome],
         shutdown: Optional[GracefulShutdown] = None,
     ) -> str:
-        """Fan a window over a process pool; degrade to serial if denied.
+        """Fan the batch over a process pool; degrade to serial if denied.
 
+        Returns the execution mode, ``"parallel"`` or ``"serial"``.
         Sandboxes without fork/semaphores refuse pools (the same
         posture as :func:`repro.experiments.parallel.run_parallel_sweep`)
-        — the window then runs serially with identical results.
+        — the batch then runs serially with identical results.
 
-        A Ctrl-C or shutdown request mid-window terminates the pool's
+        A Ctrl-C or shutdown request mid-batch terminates the pool's
         worker processes before propagating: an interrupted parent must
         never leave orphaned workers grinding on abandoned attempts.
         """
         try:
             executor = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         except Exception:
-            self._run_serial_window(window, tracer, bump, outcomes, shutdown)
+            self._run_serial(requests, tracer, bump, outcomes, shutdown)
             return "serial"
         try:
-            self._pooled_loop(window, executor, tracer, bump, outcomes, shutdown)
+            self._pooled_loop(requests, executor, tracer, bump, outcomes, shutdown)
             return "parallel"
         except (KeyboardInterrupt, RunInterrupted, PoolBroken):
             for process in list(getattr(executor, "_processes", {}).values()):
@@ -1096,18 +1046,18 @@ class Runtime:
 
     def _pooled_loop(
         self,
-        window: List[SolveRequest],
+        requests: List[SolveRequest],
         executor: concurrent.futures.ProcessPoolExecutor,
         tracer: TracerLike,
         bump,
         outcomes: Dict[str, SolveOutcome],
         shutdown: Optional[GracefulShutdown] = None,
-    ) -> Dict[str, SolveOutcome]:
-        """Supervise one window on the pool until every request is terminal.
+    ) -> None:
+        """Supervise the batch on the pool until every request is terminal.
 
         A worker crash breaks the whole pool (every in-flight future
         raises). The supervisor charges each in-flight request one
-        crashed attempt and **degrades the remainder of the window to
+        crashed attempt and **degrades the remainder of the batch to
         in-process execution** — forking a replacement pool after an
         abrupt process death is exactly the kind of cleverness that
         deadlocks under load, so the policy is the same as everywhere
@@ -1115,9 +1065,9 @@ class Runtime:
         completes the batch; nothing is lost, and the degradation is
         visible as the ``pool_degraded`` counter.
         """
-        states = {request.request_id: _RequestState(request) for request in window}
-        # (request_id, ready_at) admission list, submission order.
-        pending: List[Tuple[str, float]] = [(request.request_id, 0.0) for request in window]
+        states = {request.request_id: _RequestState(request) for request in requests}
+        # (request_id, ready_at) dispatch list, request order.
+        pending: List[Tuple[str, float]] = [(request.request_id, 0.0) for request in requests]
         in_flight: Dict[concurrent.futures.Future, Tuple[str, int, Optional[float]]] = {}
         traced = getattr(tracer, "active", False)
         pooled = True  # flips False once the pool breaks
@@ -1158,7 +1108,7 @@ class Runtime:
         while pending or in_flight:
             self._check_shutdown(shutdown)
             now = time.monotonic()
-            # Admit ready work up to pool width (or inline once degraded).
+            # Dispatch ready work up to pool width (or inline once degraded).
             still_waiting: List[Tuple[str, float]] = []
             for request_id, ready_at in pending:
                 if ready_at > now or (pooled and len(in_flight) >= self.workers):
@@ -1245,4 +1195,3 @@ class Runtime:
                             error="deadline exceeded (watchdog; attempt abandoned)",
                         ),
                     )
-        return outcomes

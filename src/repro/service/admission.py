@@ -74,9 +74,6 @@ class AdmissionQueue:
     def has_space(self) -> bool:
         return len(self._heap) < self.capacity
 
-    def queued_for(self, tenant: str) -> int:
-        return self._tenant_counts.get(tenant, 0)
-
     def offer(
         self,
         key: str,

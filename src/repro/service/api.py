@@ -124,12 +124,6 @@ class ServiceResult:
     trace_path: Optional[Path] = None
     fleet: Optional[Dict[str, Any]] = None
 
-    def record_for(self, request_id: str) -> Optional[ServiceRecord]:
-        for record in self.records:
-            if record.request_id == request_id:
-                return record
-        return None
-
     @property
     def completed(self) -> int:
         return sum(1 for record in self.records if record.ok)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
@@ -209,7 +209,6 @@ class SolveService:
                 name=f"shard-{index}",
                 seed=self.seed,
                 workers=self.workers_per_shard,
-                queue_limit=max(self.batch_window, 1),
                 retry=retry,
                 faults=shard_faults.get(index, faults),
                 degradation=degradation,
@@ -407,7 +406,6 @@ class SolveService:
             name="lifeboat",
             seed=self.seed,
             workers=1,
-            queue_limit=max(self.batch_window, 1),
             retry=self.retry,
             faults=self.faults,
             degradation=self.degradation,

@@ -23,7 +23,7 @@ determinism the test tier pins.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.checkpoint.journal import BatchJournal, JournalReplay, read_journal
 from repro.runtime.api import PoolBroken, RetryPolicy, SolveRequest
@@ -42,7 +42,6 @@ class Shard:
         name: str,
         seed: int = 0,
         workers: int = 1,
-        queue_limit: int = 64,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[Any] = None,
         degradation: Optional[Any] = None,
@@ -66,7 +65,6 @@ class Shard:
         self.tracer = Tracer(manifest={"experiment": name, "seed": seed})
         self.runtime = Runtime(
             workers=workers,
-            queue_limit=queue_limit,
             retry=retry,
             seed=seed,
             faults=faults,

@@ -188,6 +188,33 @@ class TestCrashedBatchResume:
         assert rebuilt.seed == 11
         assert rebuilt.retry == _runtime().retry
 
+    def test_journal_with_retired_queue_limit_resumes(self, tmp_path):
+        # Journals written while the runtime still had its own admission
+        # queue record a "queue_limit" key in batch_started; resume
+        # ignores it and still replays bitwise-identically.
+        from repro.checkpoint.atomic import payload_digest
+
+        path = tmp_path / "b.journal"
+        reference = _runtime(journal=BatchJournal(path)).run_batch(_requests())
+        _truncate_after_outcomes(path, keep=2)
+        lines = path.read_text().splitlines()
+        started = json.loads(lines[0])
+        assert started["kind"] == "batch_started"
+        assert "queue_limit" not in started["config"]
+        started.pop("sha256")
+        started["config"]["queue_limit"] = 256
+        started["sha256"] = payload_digest(started)
+        path.write_text("\n".join([json.dumps(started)] + lines[1:]) + "\n")
+
+        replay = read_journal(path)
+        assert replay.config["queue_limit"] == 256
+        runtime = replay.build_runtime(journal=BatchJournal.resume(replay))
+        resumed = runtime.run_batch(replay.requests, resume=replay)
+        runtime.journal.close()
+        assert resumed.replayed == 2
+        _assert_outcomes_bitwise_equal(reference.outcomes, resumed.outcomes)
+        assert reference.counters == resumed.counters
+
     def test_degradation_health_rides_the_journal(self, tmp_path):
         """Board aging (drift walks, step counts) must continue from
         where the crashed run left off, not restart from a fresh board."""

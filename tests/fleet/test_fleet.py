@@ -4,6 +4,8 @@ board 0 reproduces the pre-fleet seed streams exactly, and a one-board
 fleet leaves a Runtime batch bitwise identical to no fleet at all.
 """
 
+import json
+
 import pytest
 
 from repro.analog.health import DegradationModel, stable_seed
@@ -197,22 +199,41 @@ class TestQuarantineLifecycle:
 
 class TestFleetConfigRoundTrip:
     def test_to_from_record_round_trips(self):
+        model = DegradationModel(
+            offset_drift_sigma=0.4,
+            gain_drift_bias=0.01,
+            stuck_tiles=("chip0.tile1", "chip0.tile3"),
+            dead_dacs=("chip0.dac2",),
+            seed=9,
+        )
         config = FleetConfig(
             boards=3,
             quarantine_rejections=0.6,
             min_observations=2,
             gate=PredictiveSeedGate(threshold=0.8, audit_rate=0.25),
-            board_models={1: DegradationModel(offset_drift_sigma=0.4, seed=9)},
+            board_models={1: model},
             kill_board_after=(2, 5),
         )
-        again = FleetConfig.from_record(config.to_record())
+        record = config.to_record()
+        again = FleetConfig.from_record(json.loads(json.dumps(record)))
         assert again.boards == 3
         assert again.quarantine_rejections == pytest.approx(0.6)
         assert again.min_observations == 2
         assert again.gate == config.gate
         assert again.kill_board_after == (2, 5)
-        assert again.board_models[1].offset_drift_sigma == pytest.approx(0.4)
-        assert again.board_models[1].seed == 9
+        assert again.board_models[1] == model
+        # Journals and fleet configs share one encoding, keys in order.
+        assert list(record["board_models"]["1"]) == [
+            "gain_drift_sigma",
+            "offset_drift_sigma",
+            "gain_drift_bias",
+            "stuck_tile_rate",
+            "dead_dac_rate",
+            "stuck_tiles",
+            "dead_dacs",
+            "seed",
+        ]
+        assert record["board_models"]["1"]["stuck_tiles"] == ["chip0.tile1", "chip0.tile3"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

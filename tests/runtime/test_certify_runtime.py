@@ -185,10 +185,12 @@ class TestReplayReverification:
             assert a.certificate == b.certificate
         assert resumed.counters == first.counters
 
-    def test_tampered_solution_refuses_resume(self, tmp_path):
-        from repro.checkpoint.atomic import decode_array, encode_array, payload_digest
+    @staticmethod
+    def _tamper(path, mutate):
+        """Apply ``mutate(outcome_record)`` to cr-0001's commit and
+        re-seal the record, so only the semantic audit can object."""
+        from repro.checkpoint.atomic import payload_digest
 
-        _, path = self._journaled_run(tmp_path)
         lines = []
         for line in path.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
@@ -197,16 +199,41 @@ class TestReplayReverification:
                 and record["request_id"] == "cr-0001"
             ):
                 record.pop("sha256", None)
-                outcome = record["outcome"]
-                outcome["solution"] = encode_array(
-                    decode_array(outcome["solution"]) * (1.0 + 1e-3)
-                )
+                mutate(record["outcome"])
                 record["sha256"] = payload_digest(record)
                 line = json.dumps(record)
             lines.append(line)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    @staticmethod
+    def _resume(path):
         replay = read_journal(path)
         runtime = replay.build_runtime(journal=BatchJournal.resume(replay))
-        with pytest.raises(JournalError, match="re-verification failed"):
-            runtime.run_batch(replay.requests, resume=replay)
+        return runtime.run_batch(replay.requests, resume=replay)
+
+    def test_tampered_solution_refuses_resume(self, tmp_path):
+        from repro.checkpoint.atomic import decode_array, encode_array
+
+        _, path = self._journaled_run(tmp_path)
+
+        def scale_solution(outcome):
+            outcome["solution"] = encode_array(
+                decode_array(outcome["solution"]) * (1.0 + 1e-3)
+            )
+
+        self._tamper(path, scale_solution)
+        with pytest.raises(JournalError, match="re-verification failed.*certificate-mismatch"):
+            self._resume(path)
+
+    def test_committed_failing_certificate_refuses_resume(self, tmp_path):
+        # The solution and the certificate digest are untouched, so the
+        # digest binding and the recomputation both pass; only the
+        # stored verdict says fail, and replay must not accept it.
+        _, path = self._journaled_run(tmp_path)
+
+        def fail_verdict(outcome):
+            outcome["certificate"]["verdict"] = "fail"
+
+        self._tamper(path, fail_verdict)
+        with pytest.raises(JournalError, match="re-verification failed.*stored-failure"):
+            self._resume(path)

@@ -2,9 +2,10 @@
 
 The chaos scenarios live in ``test_chaos.py`` and the soak batch in
 ``test_stress.py``; this module pins the contracts the runtime is
-built from: seeded determinism of every derived stream, the bounded
-queue, the picklable problem specs, the degradation ladder's verdicts,
-and cross-process trace grafting.
+built from: seeded determinism of every derived stream, batch
+admission, the picklable problem specs, rung-name validation, the
+degradation ladder's verdicts, the runtime's spans, and cross-process
+trace grafting.
 """
 
 import pickle
@@ -19,7 +20,6 @@ from repro.runtime import (
     FaultInjector,
     FaultSpec,
     ProblemSpec,
-    QueueFull,
     RetryPolicy,
     Runtime,
     SolveOutcome,
@@ -136,29 +136,40 @@ class TestRequestAndOutcomeContracts:
         assert not SolveOutcome(request_id="r", status="timeout").ok
 
 
-class TestBoundedQueue:
-    def test_submit_raises_queue_full_at_bound(self):
-        runtime = Runtime(queue_limit=2)
-        runtime.submit(SolveRequest("a", ProblemSpec.quadratic()))
-        runtime.submit(SolveRequest("b", ProblemSpec.quadratic()))
-        with pytest.raises(QueueFull):
-            runtime.submit(SolveRequest("c", ProblemSpec.quadratic()))
-
+class TestBatchAdmission:
     def test_duplicate_request_ids_rejected(self):
         runtime = Runtime()
-        runtime.submit(SolveRequest("a", ProblemSpec.quadratic()))
-        with pytest.raises(ValueError, match="duplicate"):
-            runtime.submit(SolveRequest("a", ProblemSpec.quadratic()))
-
-    def test_run_batch_admits_oversized_batches_in_windows(self):
-        runtime = Runtime(queue_limit=2, retry=RetryPolicy(max_attempts=1))
         requests = [
-            SolveRequest(f"q-{i}", ProblemSpec.quadratic(rhs0=1.0 + 0.1 * i))
-            for i in range(5)
+            SolveRequest("a", ProblemSpec.quadratic()),
+            SolveRequest("a", ProblemSpec.quadratic(rhs0=2.0)),
         ]
-        result = runtime.run_batch(requests)
-        assert [o.request_id for o in result.outcomes] == [r.request_id for r in requests]
-        assert all(o.ok for o in result.outcomes)
+        with pytest.raises(ValueError, match="unique"):
+            runtime.run_batch(requests)
+
+
+class TestRungNames:
+    """One tuple of rung names, one check, at every place a rung order
+    is given."""
+
+    def test_request_rejects_unknown_rung(self):
+        with pytest.raises(ValueError, match="unknown ladder rungs"):
+            SolveRequest("r", ProblemSpec.quadratic(), rungs=("damped_newtn",))
+
+    def test_request_rejects_empty_rungs(self):
+        with pytest.raises(ValueError, match="at least one rung"):
+            SolveRequest("r", ProblemSpec.quadratic(), rungs=())
+
+    def test_ladder_solve_override_rejects_unknown_rung(self):
+        # A misspelt name must not run as some other rung.
+        system, guess = ProblemSpec.quadratic().build()
+        with pytest.raises(ValueError, match="unknown ladder rungs"):
+            DegradationLadder().solve(system, guess, rungs=("damped_newtn",))
+
+    def test_ladder_solve_override_rejects_empty_rungs(self):
+        # An empty order must not fall back to the full ladder.
+        system, guess = ProblemSpec.quadratic().build()
+        with pytest.raises(ValueError, match="at least one rung"):
+            DegradationLadder().solve(system, guess, rungs=())
 
 
 class TestFaultInjector:
@@ -292,6 +303,94 @@ class TestSerialRuntime:
         rendered = result.render()
         for i in range(3):
             assert f"q-{i}" in rendered
+
+
+class TestRuntimeSpans:
+    """The runtime's own spans time real work: ``fleet_route`` wraps the
+    routing call and carries the gate's decision, and a retry is an
+    attribute of the attempt it follows, not a span of its own."""
+
+    @staticmethod
+    def _fleet_batch(monkeypatch):
+        from repro.fleet import FleetConfig
+        from repro.fleet.scheduler import AnalogFleet
+
+        tracer = Tracer()
+        route = AnalogFleet.route
+
+        def probed_route(self, request, attempt):
+            with tracer.span("route_probe"):
+                return route(self, request, attempt)
+
+        monkeypatch.setattr(AnalogFleet, "route", probed_route)
+        runtime = Runtime(
+            seed=3,
+            fleet=FleetConfig(boards=2),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.001, max_delay=0.002),
+            faults=FaultInjector(
+                specs=(FaultSpec(kind="worker_crash", request_id="q-1", attempt=0),)
+            ),
+        )
+        requests = [
+            SolveRequest(
+                f"q-{i}", ProblemSpec.quadratic(rhs0=1.0 + 0.1 * i), analog_time_limit=1e-3
+            )
+            for i in range(3)
+        ]
+        result = runtime.run_batch(requests, tracer=tracer)
+        tracer.check_closed()
+        return tracer, result
+
+    def test_one_fleet_route_span_per_attempt_carrying_the_decision(self, monkeypatch):
+        tracer, result = self._fleet_batch(monkeypatch)
+        routes = tracer.spans_named("fleet_route")
+        assert len(routes) == sum(o.attempts for o in result.outcomes) == 4
+        for span in routes:
+            assert span.attrs["decision"] in ("allow", "veto", "audit")
+            assert {"predicted", "conditioning", "threshold", "board"} <= set(span.attrs)
+        assert not tracer.spans_named("predictive_gate")
+        assert not tracer.spans_named("retry")
+
+    def test_fleet_route_span_encloses_the_routing_call(self, monkeypatch):
+        tracer, _ = self._fleet_batch(monkeypatch)
+        route_ids = {span.span_id for span in tracer.spans_named("fleet_route")}
+        probes = tracer.spans_named("route_probe")
+        assert len(probes) == len(route_ids)
+        assert {probe.parent_id for probe in probes} == route_ids
+
+    def test_retry_delay_rides_the_failed_attempt(self, monkeypatch):
+        tracer, result = self._fleet_batch(monkeypatch)
+        retried = [
+            span for span in tracer.spans_named("solve_attempt")
+            if span.attrs.get("retry_scheduled")
+        ]
+        assert [(s.attrs["request"], s.attrs["status"]) for s in retried] == [
+            ("q-1", "crashed")
+        ]
+        assert 0.0 < retried[0].attrs["retry_delay"] <= 0.002 * 1.5
+        assert result.outcome_for("q-1").attempts == 2
+        assert tracer.counters["runtime_retries"] == 1
+
+    def test_no_span_in_src_has_an_empty_body(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        empty = []
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.With):
+                    continue
+                opens_span = any(
+                    isinstance(item.context_expr, ast.Call)
+                    and isinstance(item.context_expr.func, ast.Attribute)
+                    and item.context_expr.func.attr == "span"
+                    for item in node.items
+                )
+                if opens_span and all(isinstance(stmt, ast.Pass) for stmt in node.body):
+                    empty.append(f"{path.name}:{node.lineno}")
+        assert not empty, f"spans that time nothing: {empty}"
 
 
 class TestTracerAbsorb:

@@ -264,3 +264,28 @@ def test_serve_canary_interval_requires_boards():
                 "2",
             ]
         )
+
+
+def test_serve_and_serve_batch_build_the_same_request_stream():
+    from repro.cli import _build_parser, _burgers_requests
+
+    stream = [
+        "--requests", "5", "--grids", "2,4", "--reynolds", "0.5", "--seed", "7",
+        "--deadline", "3.0", "--analog-time-limit", "0.25",
+    ]
+    parser = _build_parser()
+    batch_args = parser.parse_args(["serve-batch", *stream])
+    service_args = parser.parse_args(["serve", *stream])
+    batch = _burgers_requests(batch_args)
+    assert batch == _burgers_requests(service_args)
+    assert [r.request_id for r in batch] == [f"req-{i:04d}" for i in range(5)]
+    assert [r.problem.as_dict()["grid_n"] for r in batch] == [2, 4, 2, 4, 2]
+    assert batch[3].problem.as_dict()["seed"] == 10
+    assert all(r.deadline_seconds == 3.0 and r.analog_time_limit == 0.25 for r in batch)
+    # Every shared option parses to the same value under both commands.
+    shared = (
+        "requests grids reynolds seed deadline max_attempts analog_time_limit "
+        "faults degradation boards kill_board settle_max_steps certify"
+    ).split()
+    for name in shared:
+        assert getattr(batch_args, name) == getattr(service_args, name), name
