@@ -46,7 +46,7 @@ from repro.analog.health import (
     DegradationSchedule,
     HealthMonitor,
     SeedQuality,
-    SeedQualityGate,
+    assess_seed,
     TileHealth,
 )
 from repro.analog.compiler import CompiledProblem, ResourceCount, compile_burgers, compile_system
@@ -78,7 +78,7 @@ __all__ = [
     "DegradationSchedule",
     "HealthMonitor",
     "SeedQuality",
-    "SeedQualityGate",
+    "assess_seed",
     "TileHealth",
     "CompiledProblem",
     "ResourceCount",

@@ -155,9 +155,6 @@ class Dac(AnalogComponent):
         self.code_value = 0.0
         self.dead = False
 
-    def set_constant(self, value: float) -> None:
-        self.code_value = float(value)
-
     def output(self) -> float:
         if self.dead:
             return 0.0

@@ -39,13 +39,13 @@ from repro.analog.health import (
     DegradationSchedule,
     HealthMonitor,
     SeedQuality,
-    SeedQualityGate,
+    assess_seed,
 )
 from repro.analog.noise import NoiseModel
 from repro.analog.scaling import ScaledSystem, required_scale
+from repro.linalg.kernel import LinearKernel
 from repro.linalg.sparse import CsrMatrix
 from repro.nonlinear.continuous_newton import continuous_newton_solve
-from repro.nonlinear.newton import make_sparse_linear_solver
 from repro.nonlinear.systems import NonlinearSystem
 from repro.pde.burgers import BurgersStencilSystem
 from repro.trace.tracer import TracerLike, as_tracer
@@ -148,7 +148,7 @@ class AnalogSolveResult:
     :class:`repro.ode.solution.OdeSolution` of the scaled state during
     the run — the oscilloscope view of the settling transient."""
     seed_quality: Optional[SeedQuality] = None
-    """Verdict of the accelerator's :class:`SeedQualityGate` on this
+    """Verdict of :func:`repro.analog.health.assess_seed` on this
     run's solution as a Newton seed (``None`` when gating is off)."""
     seed_accepted: bool = True
     """Convenience mirror of ``seed_quality.accepted``. Downstream
@@ -196,10 +196,9 @@ class AnalogAccelerator:
         The :class:`repro.analog.health.HealthMonitor` watching this
         board; a default monitor (tolerances from ``calibration``) is
         created when omitted.
-    seed_gate:
-        The :class:`repro.analog.health.SeedQualityGate` judging every
-        converged solution as a Newton seed. The default gate only
-        rejects seeds worse than the naive initial guess.
+    Every converged solution is judged as a Newton seed by
+    :func:`repro.analog.health.assess_seed`, which only rejects seeds
+    worse than the naive initial guess.
     """
 
     def __init__(
@@ -212,7 +211,6 @@ class AnalogAccelerator:
         fault_hook: Optional[Callable[["AnalogSolveResult"], Optional["AnalogSolveResult"]]] = None,
         degradation: Optional[object] = None,
         health: Optional[HealthMonitor] = None,
-        seed_gate: Optional[SeedQualityGate] = None,
     ):
         self.noise = noise or NoiseModel()
         self.seed = int(seed)
@@ -226,7 +224,6 @@ class AnalogAccelerator:
             degradation = DegradationSchedule(degradation)
         self.degradation: Optional[DegradationSchedule] = degradation
         self.health = health if health is not None else HealthMonitor(calibration=self.calibration)
-        self.seed_gate = seed_gate if seed_gate is not None else SeedQualityGate()
         self._run_rng = np.random.default_rng(seed + 977)
 
     def _apply_fault_hook(self, result: "AnalogSolveResult") -> "AnalogSolveResult":
@@ -286,7 +283,7 @@ class AnalogAccelerator:
         ``analog_health`` span and the three reconciliation counters
         (``seeds_rejected``, ``tiles_quarantined``, ``recalibrations``).
         """
-        quality = self.seed_gate.assess(solution, residual_norm, reference_norm)
+        quality = assess_seed(solution, residual_norm, reference_norm)
         step = 2.0 * self.noise.full_scale / 2**self.noise.adc_bits
         saturated = np.abs(np.asarray(measured_w, dtype=float)) >= self.noise.full_scale - step
         scaled_residuals = np.abs(
@@ -389,7 +386,7 @@ class AnalogAccelerator:
             # accurate to the integrator's tolerance, and runaway Krylov
             # fallbacks near singular Jacobians would dominate simulation
             # wall-clock without changing the settled state.
-            flow_solver = make_sparse_linear_solver(tol=1e-8, max_iterations=300)
+            flow_solver = LinearKernel(tol=1e-8, max_iterations=300)
             # Convergence is judged relative to the starting residual: at
             # extreme Reynolds numbers the scaled operator's magnitude
             # (the 1/Re viscous coefficients) inflates absolute residuals

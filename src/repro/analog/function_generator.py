@@ -97,13 +97,6 @@ class LookupTableFunction:
         xs = np.linspace(self.lo, self.hi, probes)
         return float(np.max(np.abs(self(xs) - np.asarray(reference(xs), dtype=float))))
 
-    def saturates_at(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of inputs outside the addressable range — the
-        dynamic-range failure Section 7 predicts for transcendental
-        nonlinearities."""
-        x = np.asarray(x, dtype=float)
-        return (x < self.lo) | (x > self.hi)
-
 
 def make_exp_pair(
     input_range: Tuple[float, float] = (-1.0, 6.0),

@@ -17,9 +17,9 @@ analog substrate a first-class fault domain:
   saturation, stuck tiles, dead DAC channels. The schedule advances by
   one step on every ``exec_start`` of the fabric it is attached to —
   degradation is a function of *use and time*, not of construction.
-* :class:`SeedQualityGate` / :class:`SeedQuality` — a cheap
-  residual-norm acceptance test that judges an analog seed *before* it
-  is handed to undamped Newton. The score is always finite (NaN/Inf in
+* :func:`assess_seed` / :class:`SeedQuality` — a cheap residual-norm
+  acceptance test that judges an analog seed *before* it is handed to
+  undamped Newton. The score is always finite (NaN/Inf in
   a saturated or dead-tile seed clamp to a large rejectable value, see
   :data:`NONFINITE_QUALITY`), so a broken seed can never propagate
   non-finite values into the digital polish.
@@ -49,8 +49,10 @@ __all__ = [
     "NONFINITE_QUALITY",
     "DegradationModel",
     "DegradationSchedule",
+    "SEED_QUALITY_FLOOR",
+    "SEED_QUALITY_THRESHOLD",
     "SeedQuality",
-    "SeedQualityGate",
+    "assess_seed",
     "TileHealth",
     "HealthMonitor",
     "stable_seed",
@@ -334,56 +336,58 @@ class SeedQuality:
     clamped the score to :data:`NONFINITE_QUALITY`)."""
 
 
-@dataclass(frozen=True)
-class SeedQualityGate:
-    """Cheap residual-norm acceptance test for analog seeds.
+# The seed gate's acceptance bound on |F(seed)| / max(|F(guess)|, floor).
+# 1.0 accepts any seed that is no worse than the naive initial guess: at
+# the paper's 5.38 %-RMS operating point a healthy seed scores far below
+# it (typically 0.05-0.3), so the gate only rejects seeds that are
+# actively harmful, where undamped Newton would start outside the
+# quadratic basin and burn a failed hybrid rung.
+SEED_QUALITY_THRESHOLD = 1.0
+# Floor on the reference norm, so a guess that already solves the system
+# does not divide by zero.
+SEED_QUALITY_FLOOR = 1e-12
 
-    ``max_relative_residual`` is the acceptance bound on
-    ``|F(seed)| / max(|F(guess)|, floor)``. The default of 1.0 accepts
-    any seed that is no worse than the naive initial guess — at the
-    paper's 5.38 %-RMS operating point a healthy seed scores far below
-    it (typically 0.05–0.3), so the default only rejects seeds that
-    are actively harmful, where undamped Newton would start outside
-    the quadratic basin and burn a failed hybrid rung.
+
+def assess_seed(
+    solution: np.ndarray,
+    residual_norm: float,
+    reference_norm: float,
+) -> SeedQuality:
+    """Judge an analog seed from its residual norm; never returns NaN/Inf.
+
+    The score is ``residual_norm / max(reference_norm,
+    SEED_QUALITY_FLOOR)``, accepted when it is at most
+    :data:`SEED_QUALITY_THRESHOLD`. A non-finite solution, residual or
+    reference clamps the score to :data:`NONFINITE_QUALITY`.
     """
-
-    max_relative_residual: float = 1.0
-    reference_floor: float = 1e-12
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_relative_residual <= 0.0:
-            raise ValueError("max_relative_residual must be positive")
-        if self.reference_floor <= 0.0:
-            raise ValueError("reference_floor must be positive")
-
-    def assess(
-        self,
-        solution: np.ndarray,
-        residual_norm: float,
-        reference_norm: float,
-    ) -> SeedQuality:
-        """Judge a seed from its residual norm; never returns NaN/Inf."""
-        solution = np.asarray(solution, dtype=float)
-        finite = bool(np.all(np.isfinite(solution))) and bool(np.isfinite(residual_norm))
-        if finite and np.isfinite(reference_norm):
-            reference = max(float(reference_norm), self.reference_floor)
-            quality = min(float(residual_norm) / reference, NONFINITE_QUALITY)
-        else:
-            quality = NONFINITE_QUALITY
-            finite = False
-        accepted = (not self.enabled) or quality <= self.max_relative_residual
-        return SeedQuality(
-            quality=quality,
-            accepted=accepted,
-            threshold=self.max_relative_residual,
-            finite=finite,
-        )
+    solution = np.asarray(solution, dtype=float)
+    finite = bool(np.all(np.isfinite(solution))) and bool(np.isfinite(residual_norm))
+    if finite and np.isfinite(reference_norm):
+        reference = max(float(reference_norm), SEED_QUALITY_FLOOR)
+        quality = min(float(residual_norm) / reference, NONFINITE_QUALITY)
+    else:
+        quality = NONFINITE_QUALITY
+        finite = False
+    return SeedQuality(
+        quality=quality,
+        accepted=quality <= SEED_QUALITY_THRESHOLD,
+        threshold=SEED_QUALITY_THRESHOLD,
+        finite=finite,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Online health monitoring
 # ---------------------------------------------------------------------------
+
+# Smoothing factor of every health EWMA (tile residual and settle time,
+# board settle time).
+HEALTH_EWMA_ALPHA = 0.5
+# Saturation observations before a tile is flagged saturation-prone.
+SATURATION_LIMIT = 3
+# A settle this many times slower than the board-wide EWMA is a settle
+# anomaly.
+SETTLE_ANOMALY_FACTOR = 5.0
 
 
 @dataclass
@@ -431,6 +435,12 @@ class HealthMonitor:
     """Tracks per-tile health across solves; flags, quarantines, and
     decides when recalibration is due.
 
+    Every EWMA smooths with :data:`HEALTH_EWMA_ALPHA`; a tile saturated
+    :data:`SATURATION_LIMIT` times is flagged saturation-prone; a run
+    settling :data:`SETTLE_ANOMALY_FACTOR` times slower than the
+    board-wide EWMA is recorded as a settle anomaly (reported, not
+    flagged on).
+
     Parameters
     ----------
     drift_tolerance:
@@ -440,29 +450,19 @@ class HealthMonitor:
         when a config is given, else 1.2 — comfortably above the worst
         per-tile residual a healthy 5.38 %-RMS seed leaves (unlucky
         dies reach ~0.5 full-scale units), far below a drifted board's.
-    saturation_limit:
-        Saturation observations before a tile is flagged saturation-prone.
     min_observations:
         Observations required before residual flagging can fire (one
         bad solve is weather; two is climate).
-    settle_anomaly_factor:
-        A run settling this many times slower than the board-wide EWMA
-        is recorded as a settle anomaly (reported, not flagged on).
     recalibration_pressure:
         Quarantined fraction of the board at which recalibration is
         scheduled.
-    ewma_alpha:
-        Smoothing factor of every EWMA.
     """
 
     def __init__(
         self,
         drift_tolerance: Optional[float] = None,
-        saturation_limit: int = 3,
         min_observations: int = 2,
-        settle_anomaly_factor: float = 5.0,
         recalibration_pressure: float = 0.25,
-        ewma_alpha: float = 0.5,
         calibration=None,
     ):
         if drift_tolerance is None:
@@ -470,19 +470,12 @@ class HealthMonitor:
         self.drift_tolerance = 1.2 if drift_tolerance is None else float(drift_tolerance)
         if self.drift_tolerance <= 0.0:
             raise ValueError("drift_tolerance must be positive")
-        if saturation_limit < 1:
-            raise ValueError("saturation_limit must be at least 1")
         if min_observations < 1:
             raise ValueError("min_observations must be at least 1")
         if not 0.0 < recalibration_pressure <= 1.0:
             raise ValueError("recalibration_pressure must be in (0, 1]")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        self.saturation_limit = int(saturation_limit)
         self.min_observations = int(min_observations)
-        self.settle_anomaly_factor = float(settle_anomaly_factor)
         self.recalibration_pressure = float(recalibration_pressure)
-        self.ewma_alpha = float(ewma_alpha)
         self.tiles: Dict[str, TileHealth] = {}
         self.board_settle_ewma = 0.0
         self.solves_observed = 0
@@ -531,10 +524,10 @@ class HealthMonitor:
             else:
                 if (
                     self.board_settle_ewma > 0.0
-                    and settle > self.settle_anomaly_factor * self.board_settle_ewma
+                    and settle > SETTLE_ANOMALY_FACTOR * self.board_settle_ewma
                 ):
                     self.settle_anomalies += 1
-                self.board_settle_ewma += self.ewma_alpha * (settle - self.board_settle_ewma)
+                self.board_settle_ewma += HEALTH_EWMA_ALPHA * (settle - self.board_settle_ewma)
             self.settled_solves += 1
         else:
             self.unsettled_solves += 1
@@ -546,7 +539,7 @@ class HealthMonitor:
                 residual=scaled_residuals[index],
                 settle_time=settle,
                 saturated=bool(saturated[index]),
-                alpha=self.ewma_alpha,
+                alpha=HEALTH_EWMA_ALPHA,
                 settled=settled,
             )
             if health.flagged:
@@ -560,11 +553,11 @@ class HealthMonitor:
                     f"residual EWMA {health.residual_ewma:.3g} beyond "
                     f"calibration tolerance {self.drift_tolerance:.3g}"
                 )
-            elif health.saturation_count >= self.saturation_limit:
+            elif health.saturation_count >= SATURATION_LIMIT:
                 health.flagged = True
                 health.flag_reason = (
                     f"saturated {health.saturation_count} times (limit "
-                    f"{self.saturation_limit})"
+                    f"{SATURATION_LIMIT})"
                 )
             if health.flagged:
                 newly_flagged.append(name)

@@ -11,8 +11,10 @@ Record kinds, in the order a healthy run emits them:
 
 ``batch_started``
     The full runtime configuration (seed, workers, retry policy, fault
-    plan, degradation model) plus the batch id — everything needed to
-    rebuild an *identical* runtime for resume.
+    plan, degradation model) plus the first batch's id — everything
+    needed to rebuild an *identical* runtime for resume. Written once,
+    as the first record of the file; later batches on the same handle
+    (a service shard's windows) and resumed handles do not repeat it.
 ``request_accepted``
     One per admitted request, in submission order, with the complete
     :class:`~repro.runtime.api.SolveRequest` serialization.
@@ -330,6 +332,13 @@ class BatchJournal:
     # -- record kinds ---------------------------------------------------
 
     def batch_started(self, runtime: "Runtime", batch_id: str, requests: int) -> None:
+        """Journal the runtime config, once per journal file: a handle
+        that has appended anything (an earlier batch, or a resumed
+        file) already holds it, so the call is a no-op. A service
+        shard's journal therefore carries one config for all its
+        windows."""
+        if self._seq:
+            return
         self.append(
             "batch_started",
             schema=JOURNAL_SCHEMA,

@@ -21,9 +21,11 @@ from __future__ import annotations
 import signal
 import threading
 from types import FrameType
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["GracefulShutdown", "RunInterrupted"]
+
+_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class RunInterrupted(BaseException):
@@ -49,10 +51,7 @@ class GracefulShutdown:
     a plain flag that :meth:`request` can still set programmatically.
     """
 
-    DEFAULT_SIGNALS = (signal.SIGTERM, signal.SIGINT)
-
-    def __init__(self, signals: Optional[Iterable[int]] = None):
-        self.signals = tuple(signals) if signals is not None else self.DEFAULT_SIGNALS
+    def __init__(self) -> None:
         self._event = threading.Event()
         self._received: Optional[int] = None
         self._previous = {}
@@ -86,7 +85,7 @@ class GracefulShutdown:
             return self
         if threading.current_thread() is not threading.main_thread():
             return self
-        for signum in self.signals:
+        for signum in _SIGNALS:
             try:
                 self._previous[signum] = signal.signal(signum, self._handle)
             except (ValueError, OSError):

@@ -12,14 +12,13 @@ and :mod:`repro.fleet.gate` for the gating math.
 
 from repro.fleet.board import AnalogBoard, BoardAssignment
 from repro.fleet.gate import PredictiveSeedGate, problem_conditioning
-from repro.fleet.scheduler import AnalogFleet, FleetConfig, FleetScheduler
+from repro.fleet.scheduler import AnalogFleet, FleetConfig
 
 __all__ = [
     "AnalogBoard",
     "AnalogFleet",
     "BoardAssignment",
     "FleetConfig",
-    "FleetScheduler",
     "PredictiveSeedGate",
     "problem_conditioning",
 ]

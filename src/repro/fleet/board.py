@@ -7,14 +7,15 @@ silicon. The silicon itself is still simulated per attempt inside
 degradation schedule are seeded from stable streams, so any worker
 process reproduces them bitwise); what the *board* owns is
 
-* the **seed streams** that make it a distinct device: board 0 uses
-  exactly the single-board streams the runtime always used
+* the **seed streams** that make it a distinct device: board 0 keys
+  its streams by ``(seed, request, attempt)`` alone
   (``stable_seed(seed, request, attempt, "die")`` /
-  ``..., "degradation"``), which is what makes a one-board fleet
-  bitwise-identical to the pre-fleet path; boards 1..N-1 mix their
-  board id into the key, so each board is an independently-seeded
-  piece of silicon with its own mismatch pattern and its own drift
-  walk;
+  ``..., "degradation"``), and a :class:`~repro.runtime.runtime.Runtime`
+  without a fleet runs every attempt on board 0's assignment, which is
+  what makes a one-board fleet bitwise-identical to no fleet at all;
+  boards 1..N-1 mix their board id into the key, so each board is an
+  independently-seeded piece of silicon with its own mismatch pattern
+  and its own drift walk;
 * the **recalibration epoch**: recalibrating a board re-nulls its
   drift, which in seed terms means the degradation walk restarts on a
   fresh stream (the epoch joins the key). The die seed never changes
@@ -25,20 +26,24 @@ process reproduces them bitwise); what the *board* owns is
   :meth:`AnalogFleet.observe <repro.fleet.scheduler.AnalogFleet.observe>`
   after every attempt that actually ran analog.
 
-A :class:`BoardAssignment` is the picklable routing decision handed to
-the worker: board id, both seeds, the per-board degradation model, and
-the predictive gate's verdict. Workers stay stateless — all fleet
-state lives in the parent.
+A :class:`BoardAssignment` (built by :meth:`AnalogBoard.assign`) is the
+picklable description of the silicon one attempt runs on: board id,
+both seeds, the per-board degradation model, and the predictive gate's
+verdict. It is the only description of an attempt's die and drift
+walk. Workers stay stateless — all fleet state lives in the parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.analog.health import DegradationModel, stable_seed
 
-__all__ = ["AnalogBoard", "BoardAssignment"]
+__all__ = ["FLEET_EWMA_ALPHA", "AnalogBoard", "BoardAssignment"]
+
+# Smoothing factor of every board's rejection and drift EWMAs.
+FLEET_EWMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,8 @@ class BoardAssignment:
     ``"audit"`` runs a would-be veto anyway so the gate's prediction
     can be scored against the actual post-settle verdict.
     ``fleet_exhausted`` marks the structured fallback: no healthy board
-    existed, the attempt degrades straight to damped Newton.
+    existed, the attempt degrades straight to damped Newton on board
+    0's die stream with no degradation model.
     """
 
     board_id: int
@@ -132,9 +138,24 @@ class AnalogBoard:
             self.epoch,
         )
 
+    def assign(
+        self, runtime_seed: int, request_id: str, attempt: int, **verdict: Any
+    ) -> BoardAssignment:
+        """This board's assignment for (request, attempt): its seeds,
+        epoch and degradation model, plus the routing ``verdict``
+        fields (gate decision, prediction, penalty, exhaustion)."""
+        return BoardAssignment(
+            board_id=self.board_id,
+            die_seed=self.die_seed(runtime_seed, request_id, attempt),
+            degradation_seed=self.degradation_seed(runtime_seed, request_id, attempt),
+            epoch=self.epoch,
+            degradation=self.model,
+            **verdict,
+        )
+
     # -- health evidence ------------------------------------------------
 
-    def observe(self, rejected: bool, drift: float, alpha: float) -> None:
+    def observe(self, rejected: bool, drift: float) -> None:
         """Fold one analog attempt's evidence into the board EWMAs."""
         rejected_value = 1.0 if rejected else 0.0
         drift = float(drift)
@@ -142,8 +163,8 @@ class AnalogBoard:
             self.rejection_ewma = rejected_value
             self.drift_ewma = drift
         else:
-            self.rejection_ewma += alpha * (rejected_value - self.rejection_ewma)
-            self.drift_ewma += alpha * (drift - self.drift_ewma)
+            self.rejection_ewma += FLEET_EWMA_ALPHA * (rejected_value - self.rejection_ewma)
+            self.drift_ewma += FLEET_EWMA_ALPHA * (drift - self.drift_ewma)
         self.observations += 1
 
     def recalibrate(self) -> None:

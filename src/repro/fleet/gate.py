@@ -1,8 +1,8 @@
 """A-priori seed gating: veto doomed analog settles before paying.
 
-PR 4's :class:`~repro.analog.health.SeedQualityGate` judges a seed
-*after* the settle — the settle time and the ADC readout are already
-spent by the time a drifted board's seed is rejected. The
+The post-settle gate (:func:`repro.analog.health.assess_seed`) judges
+a seed *after* the settle — the settle time and the ADC readout are
+already spent by the time a drifted board's seed is rejected. The
 hybrid-dynamical accuracy-bounds analysis (arXiv:2410.06397) says the
 post-settle relative residual of an analog seed scales, to first
 order, with the board's accumulated drift amplified by the problem's
@@ -12,11 +12,12 @@ can act on:
 
 ``predicted = (w_r * rejection_EWMA + w_d * drift_EWMA) * kappa(P)``
 
-where the EWMAs are the board's observed evidence (fraction of recent
-hybrid rungs whose seed the post-settle gate rejected, and the drift
-magnitude its schedules reported) and ``kappa`` is
-:func:`problem_conditioning` — a cheap proxy for the bound's
-amplification factor. A score over ``threshold`` (the same 1.0
+with the fixed weights ``w_r =`` :data:`REJECTION_WEIGHT` and
+``w_d =`` :data:`DRIFT_WEIGHT`. The EWMAs are the board's observed
+evidence (fraction of recent hybrid rungs whose seed the post-settle
+gate rejected, and the drift magnitude its schedules reported) and
+``kappa`` is :func:`problem_conditioning` — a cheap proxy for the
+bound's amplification factor. A score over ``threshold`` (the same 1.0
 acceptance bound the post-settle gate uses: "no worse than the naive
 guess") predicts a rejection, so the settle is skipped and the ladder
 degrades straight to damped Newton (``settles_avoided``).
@@ -46,7 +47,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.board import AnalogBoard
     from repro.runtime.api import ProblemSpec
 
-__all__ = ["PredictiveSeedGate", "problem_conditioning"]
+__all__ = [
+    "DRIFT_WEIGHT",
+    "REJECTION_WEIGHT",
+    "PredictiveSeedGate",
+    "problem_conditioning",
+]
+
+# Weights of the board-health penalty: a board that rejected every
+# recent seed scores 2.0, and one unit of full-scale drift scores 4.0.
+REJECTION_WEIGHT = 2.0
+DRIFT_WEIGHT = 4.0
 
 
 def problem_conditioning(problem: "ProblemSpec") -> float:
@@ -70,8 +81,6 @@ class PredictiveSeedGate:
     """
 
     threshold: float = 1.0
-    rejection_weight: float = 2.0
-    drift_weight: float = 4.0
     min_observations: int = 2
     audit_rate: float = 0.125
     enabled: bool = True
@@ -86,10 +95,7 @@ class PredictiveSeedGate:
 
     def penalty(self, board: "AnalogBoard") -> float:
         """The board-health half of the score (also the routing key)."""
-        return (
-            self.rejection_weight * board.rejection_ewma
-            + self.drift_weight * board.drift_ewma
-        )
+        return REJECTION_WEIGHT * board.rejection_ewma + DRIFT_WEIGHT * board.drift_ewma
 
     def predict(self, board: "AnalogBoard", problem: "ProblemSpec") -> Tuple[float, float]:
         """Predicted relative seed quality and the conditioning used."""

@@ -45,16 +45,18 @@ assertable fact, not a hope.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analog.health import DegradationModel
 from repro.fleet.board import AnalogBoard, BoardAssignment
 from repro.fleet.gate import PredictiveSeedGate
 
-__all__ = ["AnalogFleet", "FleetConfig", "FleetScheduler"]
+__all__ = ["AnalogFleet", "FleetConfig"]
 
 _AUDIT_LOG_BOUND = 100_000
+# Gate settings older journals recorded that are now module constants.
+_RETIRED_GATE_KEYS = ("rejection_weight", "drift_weight")
 
 
 @dataclass
@@ -74,7 +76,6 @@ class FleetConfig:
     quarantine_drift: float = 1.2
     min_observations: int = 4
     recalibration_pressure: float = 0.5
-    ewma_alpha: float = 0.5
     gate: PredictiveSeedGate = field(default_factory=PredictiveSeedGate)
     board_models: Optional[Dict[int, DegradationModel]] = None
     kill_board_after: Optional[Tuple[int, int]] = None
@@ -86,8 +87,6 @@ class FleetConfig:
             raise ValueError("min_observations must be at least 1")
         if not 0.0 < self.recalibration_pressure <= 1.0:
             raise ValueError("recalibration_pressure must be in (0, 1]")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
 
     def to_record(self) -> Dict[str, Any]:
         """JSON round-trippable form (the journal's config record)."""
@@ -97,11 +96,8 @@ class FleetConfig:
             "quarantine_drift": self.quarantine_drift,
             "min_observations": self.min_observations,
             "recalibration_pressure": self.recalibration_pressure,
-            "ewma_alpha": self.ewma_alpha,
             "gate": {
                 "threshold": self.gate.threshold,
-                "rejection_weight": self.gate.rejection_weight,
-                "drift_weight": self.gate.drift_weight,
                 "min_observations": self.gate.min_observations,
                 "audit_rate": self.gate.audit_rate,
                 "enabled": self.gate.enabled,
@@ -118,6 +114,9 @@ class FleetConfig:
 
     @classmethod
     def from_record(cls, raw: Dict[str, Any]) -> "FleetConfig":
+        """Inverse of :meth:`to_record`. The ``ewma_alpha``,
+        ``rejection_weight`` and ``drift_weight`` keys of older journals
+        are ignored: they always held today's constants."""
         board_models = None
         if raw.get("board_models"):
             board_models = {
@@ -131,8 +130,13 @@ class FleetConfig:
             quarantine_drift=float(raw.get("quarantine_drift", 1.2)),
             min_observations=int(raw.get("min_observations", 4)),
             recalibration_pressure=float(raw.get("recalibration_pressure", 0.5)),
-            ewma_alpha=float(raw.get("ewma_alpha", 0.5)),
-            gate=PredictiveSeedGate(**(raw.get("gate") or {})),
+            gate=PredictiveSeedGate(
+                **{
+                    key: value
+                    for key, value in (raw.get("gate") or {}).items()
+                    if key not in _RETIRED_GATE_KEYS
+                }
+            ),
             board_models=board_models,
             kill_board_after=(int(kill[0]), int(kill[1])) if kill else None,
         )
@@ -182,12 +186,13 @@ class AnalogFleet:
             candidates = [board for board in self.boards if board.eligible]
             if not candidates:
                 events["fleet_exhausted"] = 1
-                assignment = BoardAssignment(
-                    board_id=-1,
-                    die_seed=AnalogBoard(board_id=0).die_seed(
+                # No board to settle on: digital rungs only, on board
+                # 0's die stream and with no drift model.
+                assignment = replace(
+                    AnalogBoard(board_id=0).assign(
                         self.seed, request.request_id, attempt
                     ),
-                    degradation_seed=0,
+                    board_id=-1,
                     fleet_exhausted=True,
                 )
                 self._log(request.request_id, attempt, assignment, eligible=True)
@@ -206,14 +211,10 @@ class AnalogFleet:
             elif decision == "audit":
                 board.audits += 1
                 events["gate_audits"] = 1
-            assignment = BoardAssignment(
-                board_id=board.board_id,
-                die_seed=board.die_seed(self.seed, request.request_id, attempt),
-                degradation_seed=board.degradation_seed(
-                    self.seed, request.request_id, attempt
-                ),
-                epoch=board.epoch,
-                degradation=board.model,
+            assignment = board.assign(
+                self.seed,
+                request.request_id,
+                attempt,
                 gate_decision=decision,
                 predicted_quality=predicted,
                 conditioning=kappa,
@@ -316,9 +317,7 @@ class AnalogFleet:
             # rung iff the seed was accepted and polished successfully.
             rejected = report.rung != "hybrid"
             drift = self._drift_from_health(report.health)
-            board.observe(
-                rejected=rejected, drift=drift, alpha=self.config.ewma_alpha
-            )
+            board.observe(rejected=rejected, drift=drift)
             if assignment.gate_decision == "audit":
                 if rejected:
                     events["gate_vetoes_confirmed"] = 1
@@ -427,8 +426,3 @@ class AnalogFleet:
                 ),
             }
 
-
-# The routing half of AnalogFleet under the name the docs use; kept as
-# an alias because the fleet object *is* the scheduler (one lock, one
-# state machine) — splitting them would just add a layer of forwarding.
-FleetScheduler = AnalogFleet

@@ -21,8 +21,7 @@ and emergency-dense attempt is charged additively.
 
 A kernel instance is itself a valid ``LinearSolver`` callable, so every
 API that used to take a bare ``solver(jacobian, rhs)`` function accepts
-a kernel unchanged; :func:`repro.nonlinear.newton.make_sparse_linear_solver`
-is now a thin adapter over this class.
+a kernel unchanged.
 """
 
 from __future__ import annotations

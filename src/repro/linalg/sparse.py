@@ -209,12 +209,6 @@ class CsrMatrix:
         start, stop = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:stop], self.data[start:stop]
 
-    def transpose(self) -> "CsrMatrix":
-        """Explicit transpose, itself in CSR form."""
-        return csr_from_triplets(
-            self.num_cols, self.num_rows, self.indices, self._row_ids(), self.data
-        )
-
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array (tests and small solves only)."""
         out = np.zeros(self.shape)
@@ -267,9 +261,6 @@ class CsrMatrix:
         ):
             return None
         return positions
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.data**2)))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

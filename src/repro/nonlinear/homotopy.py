@@ -65,6 +65,13 @@ class BlendedSystem(NonlinearSystem):
         return (1.0 - self.lam) * js + self.lam * jh
 
 
+# Newton options at each intermediate lambda: loose tolerances are fine
+# mid-path, because the terminal lambda = 1 solve is refined with
+# _FINAL_CORRECTOR.
+_CORRECTOR = NewtonOptions(tolerance=1e-8, max_iterations=30)
+_FINAL_CORRECTOR = NewtonOptions(tolerance=1e-12, max_iterations=60)
+
+
 @dataclass
 class HomotopySchedule:
     """Controls the lambda sweep.
@@ -73,21 +80,9 @@ class HomotopySchedule:
     ----------
     steps:
         Number of lambda increments from 0 to 1.
-    corrector:
-        Newton options used at each lambda value. Loose tolerances are
-        fine mid-path; the final lambda = 1 solve is refined with
-        ``final_corrector``.
-    final_corrector:
-        Newton options for the terminal polish at lambda = 1.
     """
 
     steps: int = 50
-    corrector: NewtonOptions = field(
-        default_factory=lambda: NewtonOptions(tolerance=1e-8, max_iterations=30)
-    )
-    final_corrector: NewtonOptions = field(
-        default_factory=lambda: NewtonOptions(tolerance=1e-12, max_iterations=60)
-    )
 
     def __post_init__(self) -> None:
         if self.steps <= 0:
@@ -250,7 +245,7 @@ def homotopy_solve(
             else:
                 prediction = u.copy()
             blended = BlendedSystem(simple, hard, float(lam))
-            options = schedule.final_corrector if lam == lam_values[-1] else schedule.corrector
+            options = _FINAL_CORRECTOR if lam == lam_values[-1] else _CORRECTOR
             result = newton_solve(
                 blended, prediction, options, tracer=tracer, iteration_hook=iteration_hook
             )

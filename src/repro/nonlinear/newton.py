@@ -32,10 +32,10 @@ When no solver is given, :func:`newton_solve` builds a fresh
 ``LinearKernel`` per solve: dense LU for array Jacobians,
 Jacobi-preconditioned Bi-CGstab (with GMRES and emergency-dense
 fallbacks) for CSR — and the per-solve statistics are recorded instead
-of silently dropped. :func:`make_sparse_linear_solver` now returns a
-``LinearKernel`` (which is itself callable), so existing call sites
-keep working while gaining factorization reuse and additive fallback
-accounting.
+of silently dropped. A ``LinearKernel`` is itself callable, so a
+caller that needs other tolerances, an iteration cap or a different
+preconditioner constructs one directly and gains factorization reuse
+and additive fallback accounting.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "LinearKernel",
     "newton_solve",
     "damped_newton_with_restarts",
-    "make_sparse_linear_solver",
 ]
 
 JacobianLike = Union[np.ndarray, CsrMatrix]
@@ -137,36 +136,6 @@ def default_linear_solver(
     given, receives the solve's full inner-iteration accounting.
     """
     return LinearKernel(stats=stats).solve(jacobian, rhs)
-
-
-def make_sparse_linear_solver(
-    tol: float = 1e-10,
-    max_iterations: int = 2_000,
-    stats: Optional[LinearSolverStats] = None,
-    preconditioner_kind: str = "jacobi",
-) -> LinearKernel:
-    """Build the library's production sparse kernel for Newton steps.
-
-    Thin adapter over :class:`~repro.linalg.kernel.LinearKernel`
-    (returned directly — a kernel instance is a valid
-    ``solver(jacobian, rhs)`` callable). Runs preconditioned Bi-CGstab
-    (the Table 1 kernel of the bwaves-style solvers); if it stalls,
-    falls back to restarted GMRES, and finally to a dense solve for
-    small systems. The factorization is cached and reused while the
-    CSR sparsity pattern is unchanged, and inner-iteration counts are
-    recorded **additively across all attempts** in ``stats`` when
-    provided — the CPU/GPU models charge per inner iteration.
-
-    ``preconditioner_kind`` selects ``"jacobi"`` (default — fully
-    vectorized, right for the diagonally dominant Burgers Jacobians),
-    ``"ilu0"`` (stronger but row-serial), or ``"none"``.
-    """
-    return LinearKernel(
-        tol=tol,
-        max_iterations=max_iterations,
-        stats=stats,
-        preconditioner_kind=preconditioner_kind,
-    )
 
 
 def _traced_linear_solve(

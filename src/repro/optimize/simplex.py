@@ -46,10 +46,6 @@ class LinearProgram:
         object.__setattr__(self, "b", b)
 
     @property
-    def num_constraints(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def num_variables(self) -> int:
         return self.a.shape[1]
 

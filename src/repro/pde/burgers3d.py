@@ -103,8 +103,3 @@ class Burgers3DSplitStepper:
         for _ in range(num_steps):
             field = self.step(field)
         return field
-
-    def lines_per_step(self) -> int:
-        """Independent line systems per time step: ``3 n^2`` — each one
-        an accelerator-sized job, all same-direction lines parallel."""
-        return 3 * self.n * self.n

@@ -55,11 +55,6 @@ class Grid2D:
             raise IndexError(f"node ({i}, {j}) outside {self.nx}x{self.ny} grid")
         return j * self.nx + i
 
-    def node_coordinates(self, i: int, j: int) -> tuple:
-        """Physical coordinates of interior node ``(i, j)``; the ghost
-        ring sits at index -1 and nx/ny."""
-        return ((i + 1) * self.dx, (j + 1) * self.dy)
-
     def field(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat vector into a ``(ny, nx)`` field."""
         values = np.asarray(values, dtype=float)

@@ -31,13 +31,6 @@ class ProfileReport:
             return 0.0
         return self.region_seconds.get(region, 0.0) / self.total_seconds
 
-    def dominant_kernel(self) -> Tuple[str, float]:
-        """The region with the largest share and its fraction."""
-        if not self.region_seconds:
-            raise ValueError("no regions were recorded")
-        name = max(self.region_seconds, key=self.region_seconds.get)
-        return name, self.fraction(name)
-
 
 class KernelProfiler:
     """Wall-clock profiler with named, re-entrant regions.

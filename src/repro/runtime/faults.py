@@ -39,11 +39,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analog.health import DegradationModel
+from repro.fleet.board import BoardAssignment
 from repro.runtime.api import stable_seed
 
 __all__ = [
@@ -242,23 +244,23 @@ class FaultInjector:
 
         return corrupt
 
-    def degradation_schedule(
-        self, request_id: str, attempt: int, log: List[str]
-    ):
-        """A :class:`repro.analog.health.DegradationSchedule`, or None.
+    def degrade(
+        self, board: BoardAssignment, request_id: str, attempt: int, log: List[str]
+    ) -> BoardAssignment:
+        """The attempt's :class:`~repro.fleet.board.BoardAssignment`,
+        edited when a ``degrade_analog`` fault fires.
 
-        When a ``degrade_analog`` fault fires, the attempt's accelerator
-        runs on a board whose components drift (offset walk of
-        ``magnitude`` full-scale units per step, plus a tenth of that in
-        gain) — the drift-induced bad seed the health layer must catch:
-        gate rejection, ladder demotion to ``damped_newton``, and
-        eventually tile quarantine.
+        The edit puts the attempt's accelerator on a board whose
+        components drift (offset walk of ``magnitude`` full-scale units
+        per step, plus a tenth of that in gain), seeded from the fault's
+        own stream; it replaces the board's model, even on a
+        fleet-exhausted assignment. That is the drift-induced bad seed
+        the health layer must catch: gate rejection, ladder demotion to
+        ``damped_newton``, and eventually tile quarantine.
         """
         spec = self._first("degrade_analog", request_id, attempt)
         if spec is None:
-            return None
-        from repro.analog.health import DegradationModel, DegradationSchedule
-
+            return board
         magnitude = spec.effective_magnitude
         model = DegradationModel(
             gain_drift_sigma=0.1 * magnitude,
@@ -266,7 +268,7 @@ class FaultInjector:
             seed=stable_seed(self.seed, request_id, attempt, "degrade_analog"),
         )
         log.append("degrade_analog")
-        return DegradationSchedule(model)
+        return replace(board, degradation=model, degradation_seed=model.seed)
 
     def iteration_hook(
         self, request_id: str, attempt: int, log: List[str]

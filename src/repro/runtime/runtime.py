@@ -58,7 +58,7 @@ from repro.certify.certificate import CertifyPolicy, certify_solution
 from repro.certify.verify import audit_certificate
 from repro.checkpoint.journal import JournalError
 from repro.checkpoint.signals import GracefulShutdown, RunInterrupted
-from repro.fleet.board import BoardAssignment
+from repro.fleet.board import AnalogBoard, BoardAssignment
 from repro.fleet.scheduler import AnalogFleet, FleetConfig
 from repro.reporting import ascii_table
 from repro.runtime.api import (
@@ -68,7 +68,6 @@ from repro.runtime.api import (
     RetryPolicy,
     SolveOutcome,
     SolveRequest,
-    stable_seed,
 )
 from repro.runtime.faults import FaultInjector, InjectedWorkerCrash
 from repro.runtime.ladder import DegradationLadder
@@ -119,35 +118,28 @@ class AttemptReport:
 def _execute_attempt(
     request: SolveRequest,
     attempt: int,
-    runtime_seed: int,
+    board: BoardAssignment,
     faults: Optional[FaultInjector],
     traced: bool,
     allow_process_exit: bool,
     ladder_kwargs: Optional[Dict[str, Any]] = None,
-    degradation: Optional[DegradationModel] = None,
-    board: Optional[BoardAssignment] = None,
 ) -> AttemptReport:
     """Run one solve attempt; top-level so the pool can pickle it.
 
-    Builds the problem, the per-attempt accelerator (die seeded from
-    (runtime seed, request, attempt) — every retry gets fresh silicon),
-    and the degradation ladder, then descends it under the cooperative
-    deadline. Injected worker crashes escape (that is their job);
-    everything else becomes a structured report.
+    ``board`` is the attempt's :class:`~repro.fleet.board.BoardAssignment`
+    and the only description of its silicon: the accelerator die comes
+    from ``board.die_seed`` (every retry gets fresh silicon) and the
+    drift walk from ``board.degradation`` seeded by
+    ``board.degradation_seed``, so any worker reproduces them bitwise.
+    A ``degrade_analog`` fault edits the assignment's model and seed
+    (:meth:`~repro.runtime.faults.FaultInjector.degrade`); a vetoed or
+    fleet-exhausted assignment strips the hybrid rung, so the attempt
+    degrades straight to the digital rungs without paying for a settle.
 
-    ``degradation`` is the runtime-level aging model applied to each
-    attempt's board (its schedule seeded per attempt so any worker
-    reproduces it bitwise); a ``degrade_analog`` fault for this attempt
-    takes precedence.
-
-    ``board`` is the fleet's routing decision for this attempt. It
-    supersedes the single-board streams: the die and drift-walk seeds
-    come from the assigned board (board 0 of a one-board fleet gives
-    exactly the single-board streams, the bitwise-equality anchor),
-    its per-board degradation model replaces ``degradation``, and a
-    vetoed or fleet-exhausted assignment strips the hybrid rung — the
-    attempt degrades straight to the digital rungs without paying for
-    a settle.
+    Builds the problem, the accelerator and the degradation ladder,
+    then descends it under the cooperative deadline. Injected worker
+    crashes escape (that is their job); everything else becomes a
+    structured report.
     """
     t0 = time.perf_counter()
     fault_log: List[str] = []
@@ -164,31 +156,15 @@ def _execute_attempt(
     health: Optional[Dict[str, Any]] = None
     try:
         system, guess = request.problem.build()
+        if faults is not None:
+            board = faults.degrade(board, request.request_id, attempt, fault_log)
         schedule = (
-            faults.degradation_schedule(request.request_id, attempt, fault_log)
-            if faults is not None
+            DegradationSchedule(board.degradation, seed=board.degradation_seed)
+            if board.degradation is not None
             else None
         )
-        if schedule is None:
-            if board is not None:
-                if board.degradation is not None and not board.fleet_exhausted:
-                    schedule = DegradationSchedule(
-                        board.degradation, seed=board.degradation_seed
-                    )
-            elif degradation is not None:
-                schedule = DegradationSchedule(
-                    degradation,
-                    seed=stable_seed(
-                        runtime_seed, request.request_id, attempt, "degradation"
-                    ),
-                )
-        die_seed = (
-            board.die_seed
-            if board is not None
-            else stable_seed(runtime_seed, request.request_id, attempt, "die") % (2**31)
-        )
         accelerator = AnalogAccelerator(
-            seed=die_seed,
+            seed=board.die_seed,
             fault_hook=(
                 faults.analog_hook(request.request_id, attempt, fault_log)
                 if faults is not None
@@ -208,7 +184,7 @@ def _execute_attempt(
             else None
         )
         rungs = request.rungs
-        if board is not None and board.skip_analog:
+        if board.skip_analog:
             # Predictive veto or fleet exhaustion: the settle is not
             # paid for; the ladder starts at the digital rungs.
             base = rungs if rungs is not None else ladder.rungs
@@ -404,23 +380,25 @@ class Runtime:
         :class:`~repro.runtime.ladder.DegradationLadder` (options,
         schedule, rung order). Must be picklable.
     degradation:
-        Optional :class:`~repro.analog.health.DegradationModel` aging
-        every attempt's analog board (schedules are seeded per
+        Optional :class:`~repro.analog.health.DegradationModel` of the
+        runtime's boards: board 0's model when there is no fleet, and
+        every board's model in a fleet the runtime builds unless the
+        config overrides it per board. Drift walks are seeded per
         ``(seed, request, attempt)`` so worker count never changes the
-        drift). A ``degrade_analog`` fault takes precedence for the
+        drift. A ``degrade_analog`` fault takes precedence for the
         attempts it fires on.
     fleet:
         Optional fleet of analog boards: a
         :class:`~repro.fleet.scheduler.FleetConfig` (the runtime builds
-        and owns the fleet, boards inheriting ``degradation`` unless
-        the config overrides per board) or an already-built
+        and owns the fleet) or an already-built
         :class:`~repro.fleet.scheduler.AnalogFleet` (the service's
         shared-fleet mode: every shard draws boards from one fleet).
         Each attempt is routed to the healthiest eligible board (one
         ``fleet_route`` span carrying the gate's decision); a predictive veto
-        or an exhausted fleet skips the hybrid rung entirely. A
-        one-board fleet with default thresholds reproduces the
-        single-board path bitwise.
+        or an exhausted fleet skips the hybrid rung entirely. Without a
+        fleet every attempt runs, unrouted, on board 0's assignment
+        (:meth:`repro.fleet.board.AnalogBoard.assign`), so a one-board
+        fleet with default thresholds gives the same answers bitwise.
     journal:
         Optional write-ahead journal (duck-typed;
         :class:`repro.checkpoint.BatchJournal`). When set, the runtime
@@ -479,6 +457,8 @@ class Runtime:
         self.crash_after_outcomes = crash_after_outcomes
         self.on_pool_break = on_pool_break
         self.certify: Optional[CertifyPolicy] = CertifyPolicy.coerce(certify)
+        # The board every attempt runs on when there is no fleet.
+        self._board = AnalogBoard(board_id=0, model=degradation)
         if fleet is None:
             self.fleet: Optional[AnalogFleet] = None
             self.fleet_config: Optional[FleetConfig] = None
@@ -643,19 +623,20 @@ class Runtime:
 
     def _route_attempt(
         self, state: _RequestState, attempt: int, tracer: TracerLike
-    ) -> Optional[BoardAssignment]:
-        """Ask the fleet for a board before dispatching one attempt.
+    ) -> BoardAssignment:
+        """Assign a board to one attempt before dispatching it.
 
-        The ``fleet_route`` span times the routing call and carries the
-        board choice plus the predictive gate's ``decision``,
-        ``predicted`` score, ``conditioning`` and ``threshold``
-        (``decision="exhausted"`` when no board was eligible). The
-        decision's counter events are stashed on the request state;
-        they are recorded (and journal-attributed) when the attempt's
-        report is processed.
+        Without a fleet this is board 0's assignment, with no routing
+        call, span or fleet event. With one, the ``fleet_route`` span
+        times the routing call and carries the board choice plus the
+        predictive gate's ``decision``, ``predicted`` score,
+        ``conditioning`` and ``threshold`` (``decision="exhausted"``
+        when no board was eligible). The decision's counter events are
+        stashed on the request state; they are recorded (and
+        journal-attributed) when the attempt's report is processed.
         """
         if self.fleet is None:
-            return None
+            return self._board.assign(self.seed, state.request.request_id, attempt)
         request = state.request
         with tracer.span(
             "fleet_route", request=request.request_id, attempt=attempt
@@ -916,7 +897,7 @@ class Runtime:
 
     def _start_attempt(
         self, state: _RequestState, tracer: TracerLike
-    ) -> Tuple[int, Optional[BoardAssignment]]:
+    ) -> Tuple[int, BoardAssignment]:
         """Open the request's next attempt: count it, journal it
         (write-ahead, before any work happens), then route it."""
         attempt = state.attempts_started
@@ -930,7 +911,7 @@ class Runtime:
         request: SolveRequest,
         attempt: int,
         traced: bool,
-        board: Optional[BoardAssignment],
+        board: BoardAssignment,
     ) -> AttemptReport:
         """Run one attempt in this process; an injected worker crash
         becomes a ``crashed`` report instead of escaping."""
@@ -938,13 +919,11 @@ class Runtime:
             return _execute_attempt(
                 request,
                 attempt,
-                self.seed,
+                board,
                 self.faults,
                 traced,
                 allow_process_exit=False,
                 ladder_kwargs=self.ladder_kwargs,
-                degradation=self.degradation,
-                board=board,
             )
         except InjectedWorkerCrash:
             return AttemptReport(
@@ -1124,13 +1103,11 @@ class Runtime:
                         _execute_attempt,
                         state.request,
                         attempt,
-                        self.seed,
+                        assignment,
                         self.faults,
                         traced,
                         True,
                         self.ladder_kwargs,
-                        self.degradation,
-                        assignment,
                     )
                 except concurrent.futures.BrokenExecutor:
                     # The pool broke between polls; this submission is

@@ -69,6 +69,10 @@ from repro.trace.tracer import Tracer
 
 __all__ = ["SolveService", "serve_requests"]
 
+# A request bounced off this many dead shards resolves as a structured
+# failure instead of bouncing forever.
+MAX_FAILOVERS = 3
+
 
 @dataclass
 class _Item:
@@ -115,9 +119,6 @@ class SolveService:
         turns fail-over into full re-execution of the dead window.
     tenant_quota:
         Optional per-tenant cap on queued requests.
-    max_failovers:
-        A request bounced off this many dead shards resolves as a
-        structured failure instead of bouncing forever.
     fleet:
         A :class:`~repro.fleet.FleetConfig` (or an already-built
         :class:`~repro.fleet.AnalogFleet`) shared by *every* shard —
@@ -158,7 +159,6 @@ class SolveService:
         ladder_kwargs: Optional[Dict[str, Any]] = None,
         journal_dir: Optional[Path] = None,
         tenant_quota: Optional[int] = None,
-        max_failovers: int = 3,
         fleet: Optional[Any] = None,
         certify: Optional[Any] = None,
         canary_interval: Optional[int] = None,
@@ -179,7 +179,6 @@ class SolveService:
         self.degradation = degradation
         self.ladder_kwargs = ladder_kwargs
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.max_failovers = int(max_failovers)
         if fleet is None:
             self.fleet = None
         elif isinstance(fleet, AnalogFleet):
@@ -537,13 +536,13 @@ class SolveService:
                 self._resolve(item, entry[0], shard_name=shard.name, replayed=True)
                 continue
             item.failovers += 1
-            if item.failovers > self.max_failovers:
+            if item.failovers > MAX_FAILOVERS:
                 self._resolve(
                     item,
                     SolveOutcome(
                         request_id=item.request.request_id,
                         status="failed",
-                        error=f"exceeded {self.max_failovers} shard fail-overs",
+                        error=f"exceeded {MAX_FAILOVERS} shard fail-overs",
                         attempt_history=["failed"],
                     ),
                     shard_name=shard.name,

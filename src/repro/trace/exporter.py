@@ -107,10 +107,6 @@ class TraceFile:
     def spans_named(self, name: str) -> List[Dict[str, Any]]:
         return [span for span in self.spans if span.get("name") == name]
 
-    def sum_attr(self, span_name: str, attr: str) -> float:
-        """Sum one numeric attribute across all spans of one name."""
-        return sum(span.get("attrs", {}).get(attr, 0) for span in self.spans_named(span_name))
-
 
 def write_trace(
     tracer: Tracer,

@@ -247,11 +247,6 @@ class Tracer:
             )
         )
 
-    @property
-    def open_depth(self) -> int:
-        """Number of spans currently open (0 when fully closed)."""
-        return len(self._stack)
-
     def check_closed(self) -> None:
         """Raise if any span is still open (export-time hygiene)."""
         if self._stack:

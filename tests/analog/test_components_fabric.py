@@ -51,7 +51,7 @@ class TestComponents:
 
     def test_dac_output_quantized_and_railed(self, noise):
         dac = Dac("d", noise)
-        dac.set_constant(5.0)
+        dac.code_value = 5.0
         assert dac.output() <= 1.0
 
     def test_adc_measure_quantizes(self, noise):

@@ -7,8 +7,8 @@ wired into the accelerator:
   parsing and validation, seeded determinism of the drift walks,
   pickling (the runtime ships schedules to worker processes), and the
   recalibration contract (drift re-nulls, hardware faults persist);
-* :class:`SeedQualityGate` — the relative-residual score, and the
-  NaN/Inf clamp that keeps a broken seed's verdict finite;
+* :func:`assess_seed` — the relative-residual score, and the NaN/Inf
+  clamp that keeps a broken seed's verdict finite;
 * :class:`HealthMonitor` / :class:`TileHealth` — flagging thresholds,
   min-observation hysteresis, settled-vs-unsettled accounting,
   quarantine bookkeeping and recalibration pressure;
@@ -35,9 +35,10 @@ from repro.analog.health import (
     NONFINITE_QUALITY,
     DegradationModel,
     DegradationSchedule,
+    SEED_QUALITY_FLOOR,
     HealthMonitor,
-    SeedQualityGate,
     TileHealth,
+    assess_seed,
 )
 from repro.pde.burgers import random_burgers_system
 from repro.trace.tracer import Tracer
@@ -238,29 +239,27 @@ class TestDegradationSchedule:
 
 
 # ---------------------------------------------------------------------------
-# SeedQualityGate
+# Seed-quality gate
 # ---------------------------------------------------------------------------
 
 
 class TestSeedQualityGate:
     def test_better_than_guess_is_accepted(self):
-        gate = SeedQualityGate()
-        verdict = gate.assess(np.zeros(3), residual_norm=0.5, reference_norm=10.0)
+        verdict = assess_seed(np.zeros(3), residual_norm=0.5, reference_norm=10.0)
         assert verdict.accepted and verdict.finite
         assert verdict.quality == pytest.approx(0.05)
 
     def test_worse_than_guess_is_rejected(self):
-        gate = SeedQualityGate()
-        verdict = gate.assess(np.zeros(3), residual_norm=20.0, reference_norm=10.0)
+        verdict = assess_seed(np.zeros(3), residual_norm=20.0, reference_norm=10.0)
         assert not verdict.accepted
         assert verdict.quality == pytest.approx(2.0)
 
     def test_exactly_at_threshold_is_accepted(self):
-        verdict = SeedQualityGate().assess(np.zeros(2), 10.0, 10.0)
+        verdict = assess_seed(np.zeros(2), 10.0, 10.0)
         assert verdict.accepted and verdict.quality == pytest.approx(1.0)
 
     def test_nan_solution_clamps_to_nonfinite_quality(self):
-        verdict = SeedQualityGate().assess(
+        verdict = assess_seed(
             np.array([1.0, np.nan]), residual_norm=0.1, reference_norm=10.0
         )
         assert not verdict.accepted and not verdict.finite
@@ -268,33 +267,22 @@ class TestSeedQualityGate:
         assert np.isfinite(verdict.quality)
 
     def test_inf_residual_clamps_to_nonfinite_quality(self):
-        verdict = SeedQualityGate().assess(
+        verdict = assess_seed(
             np.zeros(2), residual_norm=float("inf"), reference_norm=10.0
         )
         assert not verdict.accepted and verdict.quality == NONFINITE_QUALITY
 
     def test_nonfinite_reference_clamps_too(self):
-        verdict = SeedQualityGate().assess(
+        verdict = assess_seed(
             np.zeros(2), residual_norm=0.1, reference_norm=float("nan")
         )
         assert not verdict.accepted and not verdict.finite
 
     def test_zero_reference_uses_floor_not_division_blowup(self):
-        verdict = SeedQualityGate().assess(np.zeros(2), 1.0, 0.0)
+        verdict = assess_seed(np.zeros(2), 1.0, 0.0)
         assert np.isfinite(verdict.quality)
-        assert verdict.quality == pytest.approx(1.0 / 1e-12)  # the floor
+        assert verdict.quality == pytest.approx(1.0 / SEED_QUALITY_FLOOR)
         assert not verdict.accepted
-
-    def test_disabled_gate_accepts_anything(self):
-        gate = SeedQualityGate(enabled=False)
-        verdict = gate.assess(np.array([np.inf]), float("nan"), 1.0)
-        assert verdict.accepted and not verdict.finite
-
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            SeedQualityGate(max_relative_residual=0.0)
-        with pytest.raises(ValueError):
-            SeedQualityGate(reference_floor=-1.0)
 
 
 class TestSolutionErrorGuards:
@@ -356,7 +344,7 @@ class TestHealthMonitor:
         assert monitor.unsettled_solves == 5 and monitor.settled_solves == 0
 
     def test_saturation_limit_flags_even_unsettled(self):
-        monitor = HealthMonitor(saturation_limit=3)
+        monitor = HealthMonitor()
         saturated = np.array([True, False])
         self._observe(monitor, [0.1, 0.1], settled=False, saturated=saturated)
         self._observe(monitor, [0.1, 0.1], settled=False, saturated=saturated)
@@ -365,7 +353,7 @@ class TestHealthMonitor:
         assert "saturated" in monitor.tiles["chip0.tile0"].flag_reason
 
     def test_settle_anomaly_recorded_not_flagged(self):
-        monitor = HealthMonitor(settle_anomaly_factor=5.0)
+        monitor = HealthMonitor()
         self._observe(monitor, [0.1], settle=2.0)
         self._observe(monitor, [0.1], settle=50.0)
         assert monitor.settle_anomalies == 1
@@ -426,11 +414,7 @@ class TestHealthMonitor:
         with pytest.raises(ValueError):
             HealthMonitor(min_observations=0)
         with pytest.raises(ValueError):
-            HealthMonitor(saturation_limit=0)
-        with pytest.raises(ValueError):
             HealthMonitor(recalibration_pressure=1.5)
-        with pytest.raises(ValueError):
-            HealthMonitor(ewma_alpha=0.0)
 
     def test_inherits_tolerance_from_calibration_config(self):
         from repro.analog.calibration import CalibrationConfig

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analog.engine import solution_error
-from repro.analog.health import NONFINITE_QUALITY, SeedQualityGate
+from repro.analog.health import NONFINITE_QUALITY, assess_seed
 
 
 class TestSolutionErrorNonfiniteClamp:
@@ -57,10 +57,8 @@ class TestSolutionErrorNonfiniteClamp:
 
 
 class TestSeedQualityGateNonfinite:
-    GATE = SeedQualityGate()
-
     def test_nan_solution_is_rejected_with_clamped_quality(self):
-        quality = self.GATE.assess(
+        quality = assess_seed(
             np.array([np.nan, 1.0]), residual_norm=0.1, reference_norm=1.0
         )
         assert quality.quality == NONFINITE_QUALITY
@@ -68,7 +66,7 @@ class TestSeedQualityGateNonfinite:
         assert not quality.accepted
 
     def test_inf_residual_norm_is_rejected(self):
-        quality = self.GATE.assess(
+        quality = assess_seed(
             np.ones(2), residual_norm=np.inf, reference_norm=1.0
         )
         assert quality.quality == NONFINITE_QUALITY
@@ -76,7 +74,7 @@ class TestSeedQualityGateNonfinite:
         assert not quality.accepted
 
     def test_nan_reference_norm_is_rejected(self):
-        quality = self.GATE.assess(
+        quality = assess_seed(
             np.ones(2), residual_norm=0.1, reference_norm=np.nan
         )
         assert quality.quality == NONFINITE_QUALITY
@@ -86,24 +84,15 @@ class TestSeedQualityGateNonfinite:
     def test_quality_never_exceeds_the_sentinel(self):
         # Even a finite but astronomically bad residual clamps at the
         # sentinel, so downstream EWMAs stay in a bounded range.
-        quality = self.GATE.assess(
+        quality = assess_seed(
             np.ones(2), residual_norm=1e300, reference_norm=1e-12
         )
         assert quality.quality == NONFINITE_QUALITY
         assert quality.finite  # inputs were finite; only the ratio clamped
         assert not quality.accepted
 
-    def test_disabled_gate_still_reports_nonfinite_honestly(self):
-        gate = SeedQualityGate(enabled=False)
-        quality = gate.assess(
-            np.array([np.inf]), residual_norm=0.1, reference_norm=1.0
-        )
-        assert quality.accepted  # disabled gates accept everything...
-        assert not quality.finite  # ...but never lie about finiteness
-        assert quality.quality == NONFINITE_QUALITY
-
     def test_healthy_seed_passes_finite(self):
-        quality = self.GATE.assess(
+        quality = assess_seed(
             np.ones(2), residual_norm=0.1, reference_norm=1.0
         )
         assert quality.finite

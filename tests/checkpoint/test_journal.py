@@ -94,6 +94,24 @@ class TestJournalFile:
         seqs = [record["seq"] for record in replay.records]
         assert seqs == sorted(seqs)
 
+    def test_config_is_journaled_once_per_file(self, tmp_path):
+        """Batches after the first on one journal handle (a service
+        shard's windows) do not repeat the runtime config."""
+        path = tmp_path / "b.journal"
+        journal = BatchJournal(path)
+        runtime = _runtime(journal=journal)
+        requests = _requests(3)
+        for request in requests:
+            runtime.run_batch([request])
+        journal.close()
+        replay = read_journal(path)
+        kinds = [record["kind"] for record in replay.records]
+        assert kinds[0] == "batch_started"
+        assert kinds.count("batch_started") == 1
+        assert kinds.count("batch_completed") == 3
+        assert replay.config == json.loads(path.read_text().splitlines()[0])["config"]
+        assert set(replay.outcomes) == {request.request_id for request in requests}
+
     def test_torn_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "b.journal"
         runtime = _runtime(journal=BatchJournal(path))
@@ -209,6 +227,39 @@ class TestCrashedBatchResume:
         replay = read_journal(path)
         assert replay.config["queue_limit"] == 256
         runtime = replay.build_runtime(journal=BatchJournal.resume(replay))
+        resumed = runtime.run_batch(replay.requests, resume=replay)
+        runtime.journal.close()
+        assert resumed.replayed == 2
+        _assert_outcomes_bitwise_equal(reference.outcomes, resumed.outcomes)
+        assert reference.counters == resumed.counters
+
+    def test_journal_with_retired_fleet_settings_resumes(self, tmp_path):
+        # Journals written while the fleet's EWMA smoothing and gate
+        # weights were settings record them in the fleet config; resume
+        # ignores them and still replays bitwise-identically.
+        from repro.checkpoint.atomic import payload_digest
+        from repro.fleet import FleetConfig
+
+        path = tmp_path / "b.journal"
+        # One board: routing cannot depend on fleet state the resumed
+        # runtime rebuilds from scratch.
+        fleet = FleetConfig(boards=1)
+        reference = _runtime(journal=BatchJournal(path), fleet=fleet).run_batch(
+            _requests()
+        )
+        _truncate_after_outcomes(path, keep=2)
+        lines = path.read_text().splitlines()
+        started = json.loads(lines[0])
+        assert "ewma_alpha" not in started["config"]["fleet"]
+        started.pop("sha256")
+        started["config"]["fleet"]["ewma_alpha"] = 0.5
+        started["config"]["fleet"]["gate"].update(rejection_weight=2.0, drift_weight=4.0)
+        started["sha256"] = payload_digest(started)
+        path.write_text("\n".join([json.dumps(started)] + lines[1:]) + "\n")
+
+        replay = read_journal(path)
+        runtime = replay.build_runtime(journal=BatchJournal.resume(replay))
+        assert runtime.fleet_config == fleet
         resumed = runtime.run_batch(replay.requests, resume=replay)
         runtime.journal.close()
         assert resumed.replayed == 2

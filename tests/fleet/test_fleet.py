@@ -18,13 +18,16 @@ from repro.fleet import (
     PredictiveSeedGate,
     problem_conditioning,
 )
+from repro.runtime import runtime as runtime_module
 from repro.runtime.api import ProblemSpec, RetryPolicy, SolveRequest
+from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.runtime import Runtime
+from repro.trace.tracer import Tracer
 
 
 class TestPredictiveGate:
     def test_penalty_is_weighted_ewma_sum(self):
-        gate = PredictiveSeedGate(rejection_weight=2.0, drift_weight=4.0)
+        gate = PredictiveSeedGate()
         board = AnalogBoard(board_id=1)
         board.rejection_ewma = 0.5
         board.drift_ewma = 0.25
@@ -235,6 +238,18 @@ class TestFleetConfigRoundTrip:
         ]
         assert record["board_models"]["1"]["stuck_tiles"] == ["chip0.tile1", "chip0.tile3"]
 
+    def test_retired_gate_keys_are_ignored(self):
+        """Older journals record the EWMA smoothing and the gate weights,
+        which are now constants; rebuilding from such a record ignores
+        them."""
+        record = FleetConfig(boards=2).to_record()
+        assert "ewma_alpha" not in record
+        assert "rejection_weight" not in record["gate"]
+        record["ewma_alpha"] = 0.5
+        record["gate"].update(rejection_weight=2.0, drift_weight=4.0)
+        again = FleetConfig.from_record(record)
+        assert again == FleetConfig(boards=2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(boards=0)
@@ -284,6 +299,96 @@ class TestOneBoardFleetBitwise:
         assert reference.counters == {
             k: v for k, v in fleeted.counters.items() if not k.startswith("fleet_")
         } or reference.counters == fleeted.counters
+
+
+class TestNoFleetStreams:
+    """A Runtime without a fleet runs every attempt on board 0's
+    assignment. These tests pin that assignment to streams derived
+    without :class:`AnalogBoard`, so the no-fleet path stays anchored to
+    the pre-fleet seeds even though it now shares the fleet's code."""
+
+    def test_no_fleet_attempt_runs_on_pre_fleet_streams(self, monkeypatch):
+        seen = []
+
+        class Recording(runtime_module.AnalogAccelerator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append((self.seed, self.degradation.seed))
+
+        monkeypatch.setattr(runtime_module, "AnalogAccelerator", Recording)
+        runtime = Runtime(
+            seed=11,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, jitter=0.0),
+            degradation=DegradationModel(offset_drift_sigma=0.02, seed=7),
+            # Request ns-1's first attempt dies before its accelerator
+            # is built, so its retry (attempt 1) shows the attempt key.
+            faults=FaultInjector(
+                specs=(FaultSpec("worker_crash", request_id="ns-1", attempt=0),)
+            ),
+        )
+        requests = [
+            SolveRequest(f"ns-{i}", ProblemSpec.quadratic(), analog_time_limit=1e-3)
+            for i in range(2)
+        ]
+        result = runtime.run_batch(requests)
+        expected = [(request.request_id, attempt) for request, attempt in zip(requests, (0, 1))]
+        assert seen == [
+            (
+                stable_seed(11, rid, attempt, "die") % 2**31,
+                stable_seed(11, rid, attempt, "degradation"),
+            )
+            for rid, attempt in expected
+        ]
+        for outcome, (rid, attempt) in zip(result.outcomes, expected):
+            assert outcome.health["seed"] == stable_seed(11, rid, attempt, "degradation")
+
+    def test_no_fleet_runtime_never_routes(self, monkeypatch):
+        def refuse(self, request, attempt):
+            raise AssertionError("a runtime without a fleet must not route")
+
+        monkeypatch.setattr(AnalogFleet, "route", refuse)
+        tracer = Tracer()
+        result = Runtime(seed=3).run_batch(
+            [SolveRequest("nr-0", ProblemSpec.quadratic(), analog_time_limit=1e-3)],
+            tracer=tracer,
+        )
+        assert result.outcomes[0].ok
+        assert not [span for span in tracer.spans if span.name == "fleet_route"]
+        assert not [name for name in result.counters if "fleet" in name]
+
+
+class TestAssignmentFaultEdit:
+    def test_degrade_fault_on_exhausted_attempt(self):
+        """A ``degrade_analog`` fault edits even a fleet-exhausted
+        assignment: the attempt runs digital rungs only, so the fault's
+        drift walk never steps, but it is logged and reported."""
+        runtime = Runtime(
+            seed=5,
+            retry=RetryPolicy(max_attempts=1),
+            # The only board dies before the first route.
+            fleet=FleetConfig(boards=1, kill_board_after=(0, 0)),
+            faults=FaultInjector(
+                specs=(FaultSpec("degrade_analog", request_id="ex-0", attempt=0),),
+                seed=9,
+            ),
+        )
+        result = runtime.run_batch(
+            [SolveRequest("ex-0", ProblemSpec.quadratic(), analog_time_limit=1e-3)]
+        )
+        outcome = result.outcomes[0]
+        assert outcome.ok and outcome.rung == "damped_newton"
+        assert "hybrid" not in outcome.rungs_tried
+        assert outcome.faults == ("degrade_analog",)
+        assert outcome.health == {
+            "seed": stable_seed(9, "ex-0", 0, "degrade_analog"),
+            "step": 0,
+            "gain_drift": {},
+            "offset_drift": {},
+            "stuck_tiles": [],
+            "dead_dacs": [],
+            "resets": 0,
+        }
+        assert result.counters["fleet_exhausted"] == 1
 
 
 class TestCapacityExperiment:

@@ -98,12 +98,6 @@ class TestCsrKernels:
         assert set(cols.tolist()) == {0, 1, 2}
         assert sorted(vals.tolist()) == [-1.0, -1.0, 2.0]
 
-    def test_transpose_roundtrip(self):
-        builder = CooBuilder(3, 2)
-        builder.extend([(0, 1, 2.0), (2, 0, -1.0)])
-        mat = builder.to_csr()
-        np.testing.assert_allclose(mat.transpose().to_dense(), mat.to_dense().T)
-
     def test_scaled(self):
         mat = laplacian_1d(3).scaled(2.0)
         assert mat.to_dense()[0, 0] == pytest.approx(4.0)
@@ -116,10 +110,6 @@ class TestCsrKernels:
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError):
             laplacian_1d(3).add(eye(4))
-
-    def test_frobenius(self):
-        mat = eye(4, scale=3.0)
-        assert mat.frobenius_norm() == pytest.approx(6.0)
 
 
 class TestFactories:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nonlinear.newton import (
+    LinearKernel,
     NewtonOptions,
     damped_newton_with_restarts,
-    make_sparse_linear_solver,
     newton_solve,
 )
 from repro.nonlinear.systems import (
@@ -154,13 +154,13 @@ class TestSparseLinearSolver:
             if i < n - 1:
                 builder.add(i, i + 1, -1.2)
         mat = builder.to_csr()
-        solver = make_sparse_linear_solver()
+        solver = LinearKernel()
         x_true = np.random.default_rng(0).standard_normal(n)
         x = solver(mat, mat.matvec(x_true))
         np.testing.assert_allclose(x, x_true, rtol=1e-6, atol=1e-8)
 
     def test_dense_passthrough(self):
-        solver = make_sparse_linear_solver()
+        solver = LinearKernel()
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
         np.testing.assert_allclose(solver(a, np.array([2.0, 4.0])), [1.0, 1.0])
 
@@ -172,7 +172,7 @@ class TestSparseLinearSolver:
         for i in range(4):
             builder.add(i, i, 2.0)
         stats = LinearSolverStats()
-        solver = make_sparse_linear_solver(stats=stats)
+        solver = LinearKernel(stats=stats)
         solver(builder.to_csr(), np.ones(4))
         assert stats.solves == 1
         assert stats.matvecs >= 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.linalg.sparse import CooBuilder
-from repro.nonlinear.newton import LinearSolverStats, make_sparse_linear_solver
+from repro.linalg.kernel import LinearKernel, LinearSolverStats
 
 
 def stencil(n, asym=0.3):
@@ -22,14 +22,14 @@ def stencil(n, asym=0.3):
 def test_all_preconditioner_kinds_solve(kind):
     mat = stencil(30)
     x_true = np.random.default_rng(0).standard_normal(30)
-    solver = make_sparse_linear_solver(preconditioner_kind=kind)
+    solver = LinearKernel(preconditioner_kind=kind)
     x = solver(mat, mat.matvec(x_true))
     np.testing.assert_allclose(x, x_true, rtol=1e-6, atol=1e-8)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        make_sparse_linear_solver(preconditioner_kind="magic")
+        LinearKernel(preconditioner_kind="magic")
 
 
 def test_singular_system_falls_back_to_least_squares():
@@ -40,7 +40,7 @@ def test_singular_system_falls_back_to_least_squares():
         builder.add(i, 0, 1.0)  # rank-1 with zero diagonal rows 1..3
         builder.add(i, i, 1e-30)
     mat = builder.to_csr()
-    solver = make_sparse_linear_solver()
+    solver = LinearKernel()
     out = solver(mat, np.ones(4))
     assert np.all(np.isfinite(out))
 
@@ -59,7 +59,7 @@ def test_large_system_uses_lapack_fallback_quickly():
         if i < n - 1:
             builder.add(i, i + 1, -1.0)
     mat = builder.to_csr()
-    solver = make_sparse_linear_solver(max_iterations=50)
+    solver = LinearKernel(max_iterations=50)
     start = time.perf_counter()
     out = solver(mat, np.ones(n))
     elapsed = time.perf_counter() - start
@@ -69,7 +69,7 @@ def test_large_system_uses_lapack_fallback_quickly():
 
 def test_stats_capture_inner_iterations():
     stats = LinearSolverStats()
-    solver = make_sparse_linear_solver(stats=stats)
+    solver = LinearKernel(stats=stats)
     mat = stencil(20)
     solver(mat, np.ones(20))
     assert stats.solves == 1
@@ -91,7 +91,7 @@ def test_fallback_accounting_is_explicit_and_additive():
     builder.add(n - 1, 0, 1.0)
     mat = builder.to_csr()
     stats = LinearSolverStats()
-    solver = make_sparse_linear_solver(stats=stats)
+    solver = LinearKernel(stats=stats)
     rhs = np.ones(n)
     rhs[-1] = 2.0
     out = solver(mat, rhs)
@@ -102,10 +102,9 @@ def test_fallback_accounting_is_explicit_and_additive():
 
 
 def test_returned_solver_is_a_reusing_kernel():
-    # make_sparse_linear_solver is now a thin adapter over LinearKernel:
-    # repeated same-pattern solves share one preconditioner build.
+    # Repeated same-pattern solves share one preconditioner build.
     stats = LinearSolverStats()
-    solver = make_sparse_linear_solver(stats=stats)
+    solver = LinearKernel(stats=stats)
     mat = stencil(25)
     for _ in range(3):
         solver(mat, np.ones(25))

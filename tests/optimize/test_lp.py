@@ -50,7 +50,6 @@ class TestLinearProgram:
     def test_from_inequalities_adds_slacks(self):
         lp = toy_lp()
         assert lp.num_variables == 4
-        assert lp.num_constraints == 2
 
     def test_feasibility_check(self):
         lp = toy_lp()

@@ -114,7 +114,7 @@ class TestBurgers3D:
         n = 5
         stepper = Burgers3DSplitStepper(n=n, reynolds=1.0, dt=0.1)
         stepper.step(np.zeros((n, n, n)))
-        assert stepper.lines_solved == stepper.lines_per_step() == 3 * n * n
+        assert stepper.lines_solved == 3 * n * n
 
     def test_custom_line_solver_invoked(self):
         calls = []

@@ -44,10 +44,6 @@ class TestGrid2D:
         with pytest.raises(ValueError):
             Grid2D(nx=2, ny=2, dx=0.0)
 
-    def test_node_coordinates_offset_by_ghost(self):
-        grid = Grid2D.square(3, spacing=0.5)
-        assert grid.node_coordinates(0, 0) == (0.5, 0.5)
-
     def test_meshgrid_shapes(self):
         grid = Grid2D(nx=4, ny=3)
         xs, ys = grid.interior_meshgrid()

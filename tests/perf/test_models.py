@@ -174,17 +174,6 @@ class TestKernelProfiler:
         assert report.fraction("solve") > report.fraction("other")
         assert 0.5 < report.fraction("solve") < 1.0
 
-    def test_dominant_kernel(self):
-        profiler = KernelProfiler()
-        with profiler.run():
-            with profiler.region("a"):
-                time.sleep(0.02)
-            with profiler.region("b"):
-                time.sleep(0.002)
-        name, fraction = profiler.report().dominant_kernel()
-        assert name == "a"
-        assert fraction > 0.5
-
     def test_nested_regions_disjoint(self):
         profiler = KernelProfiler()
         with profiler.run():
@@ -209,10 +198,3 @@ class TestKernelProfiler:
         with pytest.raises(RuntimeError):
             with profiler.run():
                 profiler.report()
-
-    def test_dominant_kernel_requires_regions(self):
-        profiler = KernelProfiler()
-        with profiler.run():
-            pass
-        with pytest.raises(ValueError):
-            profiler.report().dominant_kernel()

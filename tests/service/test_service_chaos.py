@@ -207,3 +207,45 @@ class TestFleetCascadeLifeboat:
         # committed nothing, the lifeboat committed each id once.
         counts = _committed_counts(tmp_path)
         assert counts == {request.request_id: 1 for request in requests}
+
+
+class TestOneConfigPerShardJournal:
+    def test_multi_window_journal_fails_over_and_verifies(self, tmp_path):
+        """A shard journal carries the runtime config once, in its first
+        window; a later window's crash still recovers committed outcomes
+        from it, and ``verify-journal`` still audits it."""
+        from repro.certify.verify import verify_journal
+
+        requests = _requests(6, prefix="w")
+        # One shard, windows [w-0..w-2] and [w-3..w-5]. Request w-5 is
+        # dispatched only after w-3 or w-4 has committed (the pool is
+        # two wide), and its first attempt kills the shard's pool.
+        result = serve_requests(
+            requests,
+            shards=1,
+            workers_per_shard=2,
+            batch_window=3,
+            seed=0,
+            journal_dir=tmp_path,
+            certify=True,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05),
+            shard_faults={
+                0: FaultInjector(
+                    specs=(FaultSpec(kind="worker_crash", request_id="w-5", attempt=0),)
+                )
+            },
+        )
+        assert result.completed == 6
+        replayed = [r for r in result.records if r.replayed_from_journal]
+        assert replayed and all(r.shard == "shard-0" for r in replayed)
+
+        journal = tmp_path / "shard-0.journal"
+        kinds = [json.loads(line)["kind"] for line in journal.read_text().splitlines()]
+        assert kinds[0] == "batch_started"
+        assert kinds.count("batch_started") == 1
+        assert kinds.count("batch_completed") == 1
+        assert kinds.count("batch_interrupted") == 1
+        verification = verify_journal(journal)
+        assert verification.problems == []
+        assert verification.checked == kinds.count("outcome_committed") >= 4
+        assert _committed_counts(tmp_path) == {r.request_id: 1 for r in requests}

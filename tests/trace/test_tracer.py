@@ -68,7 +68,6 @@ class TestSpans:
     def test_check_closed_raises_on_dangling_span(self):
         tracer = Tracer()
         tracer.span("dangling")
-        assert tracer.open_depth == 1
         with pytest.raises(TraceNestingError, match="dangling"):
             tracer.check_closed()
 
@@ -151,7 +150,6 @@ class TestExporter:
         assert trace.manifest["seed"] == 7
         assert "repro_version" in trace.manifest
         assert [span["name"] for span in trace.spans] == ["linear_solve", "solve"]
-        assert trace.sum_attr("linear_solve", "inner_iterations") == 12
         assert trace.counters == {"restarts": 2}
         assert trace.gauges == {"residual": 1e-9}
 
